@@ -29,6 +29,7 @@ VARIANTS = (
 )
 
 _NEEDS_N = {"classical", "invariant_hyper", "isotropic_a", "isotropic_b"}
+_NEEDS_PSI_X = {"invariant_hyper", "down_gradient_invariant", "anticipated_invariant"}
 
 
 class DissipationOverflowError(FloatingPointError):
@@ -58,10 +59,6 @@ class DissipationSpec:
             raise ValueError("nu and K must be non-negative")
 
 
-def _abs_psi_x(psi: RealField) -> np.ndarray:
-    return np.abs(spectral_derivative(psi, "x").values)
-
-
 def _finite(spec: "DissipationSpec", values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise DissipationOverflowError(
@@ -74,6 +71,18 @@ def _finite(spec: "DissipationSpec", values: np.ndarray) -> np.ndarray:
 def dissipation(spec: DissipationSpec, psi: RealField, zeta: RealField,
                 beta: float = 0.0) -> RealField:
     """Evaluate the closure D on the grid."""
+    psi_x = spectral_derivative(psi, "x").values if spec.kind in _NEEDS_PSI_X else None
+    return closure(spec, psi, psi_x, zeta, beta)
+
+
+def closure(spec: DissipationSpec, psi: RealField, psi_x: np.ndarray | None,
+            zeta: RealField, beta: float) -> RealField:
+    """The closure D given psi_x = d(psi)/dx from the caller.
+
+    The stepper carries psi_x with its streamfunction, so the closures
+    that weight by |psi_x| transform nothing to get it. psi_x may be
+    None for the kinds that do not use it.
+    """
     grid = psi.grid
     n, nu, K = spec.n, spec.nu, spec.K
     sign = (-1.0) ** (n - 1)
@@ -84,15 +93,13 @@ def dissipation(spec: DissipationSpec, psi: RealField, zeta: RealField,
     if spec.kind == "classical":
         d = sign * nu * laplacian(zeta, n).values
     elif spec.kind == "invariant_hyper":
-        d = sign * nu * _abs_psi_x(psi) ** ((2 * n + 1) / 2) * laplacian(zeta, n).values
+        d = sign * nu * np.abs(psi_x) ** ((2 * n + 1) / 2) * laplacian(zeta, n).values
     elif spec.kind == "down_gradient_invariant":
-        psi_x = spectral_derivative(psi, "x").values
         d = K * np.sign(psi_x) * np.abs(psi_x) ** 1.5 * laplacian(zeta).values
     elif spec.kind == "anticipated_invariant":
         # eta = zeta + beta*y is split analytically so the stencil never
         # sees the non-periodic beta*y ramp:
         # J(psi_y, eta) = J(psi_y, zeta) + beta*psi_xy, eta_yy = zeta_yy.
-        psi_x = spectral_derivative(psi, "x").values
         psi_y = spectral_derivative(psi, "y")
         psi_xy = spectral_derivative(psi_y, "x").values
         bracket = arakawa(psi_y.values, zeta.values, grid.dx, grid.dy) + beta * psi_xy

@@ -11,10 +11,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dissipation import DissipationSpec, dissipation
+from .dissipation import DissipationSpec, closure
 from .grid import Grid, RealField
 from .kernels import arakawa
-from .spectral import poisson_solve, spectral_derivative
+from .spectral import spectral_derivative, workspace
 
 
 class InstabilityError(RuntimeError):
@@ -52,11 +52,13 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class SimState:
-    """Two leapfrog vorticity levels plus the current streamfunction."""
+    """Two leapfrog vorticity levels plus the current streamfunction and
+    its x-derivative (the beta term and the closures both need psi_x)."""
 
     zeta_prev: RealField
     zeta_curr: RealField
     psi_curr: RealField
+    psi_x: RealField
     step: int
     time: float
 
@@ -76,6 +78,25 @@ def _zero_mean(values: np.ndarray) -> np.ndarray:
     return values - values.mean()
 
 
+def _level(zeta_prev: RealField, zeta_curr: RealField, step: int,
+           time: float) -> SimState:
+    """State whose psi_curr and psi_x come from one transform of zeta_curr.
+
+    rfft2 gives psi_hat = -zeta_hat/k^2, and two irfft2 give psi and
+    psi_x: three transforms where a Poisson solve plus a separate
+    derivative of psi would take four.
+    """
+    grid = zeta_curr.grid
+    ws = workspace(grid)
+    psi_hat = np.fft.rfft2(zeta_curr.values)
+    psi_hat *= ws.inv_laplacian
+    psi = np.fft.irfft2(psi_hat, s=grid.shape)
+    psi_hat *= ws.ikx
+    psi_x = np.fft.irfft2(psi_hat, s=grid.shape)
+    return SimState(zeta_prev, zeta_curr, RealField(grid, psi),
+                    RealField(grid, psi_x), step, time)
+
+
 def tendency(state: SimState, params: ModelParams) -> RealField:
     """zeta_t = -J(psi, zeta) - beta*psi_x + D, projected to zero mean.
 
@@ -86,14 +107,15 @@ def tendency(state: SimState, params: ModelParams) -> RealField:
     adv = arakawa(
         state.psi_curr.values, state.zeta_curr.values, grid.dx, grid.dy
     )
-    rhs = -adv - params.beta * spectral_derivative(state.psi_curr, "x").values
+    rhs = -adv - params.beta * state.psi_x.values
     if params.mean_velocity:
         rhs = rhs - params.mean_velocity * spectral_derivative(
             state.zeta_curr, "x"
         ).values
     if params.dissipation.kind != "none":
-        rhs = rhs + dissipation(
-            params.dissipation, state.psi_curr, state.zeta_prev, params.beta
+        rhs = rhs + closure(
+            params.dissipation, state.psi_curr, state.psi_x.values,
+            state.zeta_prev, params.beta,
         ).values
     return RealField(grid, _zero_mean(rhs))
 
@@ -110,7 +132,7 @@ def _guarded_tendency(state: SimState, params: ModelParams) -> RealField:
 def initial_state(zeta0: RealField) -> SimState:
     """Single-level state at t = 0; bootstrap before stepping."""
     z = RealField(zeta0.grid, _zero_mean(zeta0.values))
-    return SimState(z, z, poisson_solve(z), step=0, time=0.0)
+    return _level(z, z, step=0, time=0.0)
 
 
 def bootstrap(state0: SimState, params: ModelParams) -> SimState:
@@ -124,14 +146,12 @@ def bootstrap(state0: SimState, params: ModelParams) -> SimState:
     dt = params.dt
     t0 = _guarded_tendency(state0, params)
     z_half = RealField(grid, _zero_mean(state0.zeta_curr.values + 0.5 * dt * t0.values))
-    mid = SimState(z_half, z_half, poisson_solve(z_half), state0.step, state0.time + 0.5 * dt)
+    mid = _level(z_half, z_half, state0.step, state0.time + 0.5 * dt)
     t_half = _guarded_tendency(mid, params)
     z1 = RealField(grid, _zero_mean(state0.zeta_curr.values + dt * t_half.values))
     if not np.all(np.isfinite(z1.values)):
         raise InstabilityError(state0.step + 1)
-    return SimState(
-        state0.zeta_curr, z1, poisson_solve(z1), state0.step + 1, state0.time + dt
-    )
+    return _level(state0.zeta_curr, z1, state0.step + 1, state0.time + dt)
 
 
 def step_leapfrog_raw(state: SimState, params: ModelParams) -> SimState:
@@ -150,14 +170,8 @@ def step_leapfrog_raw(state: SimState, params: ModelParams) -> SimState:
     z_mid = _zero_mean(z_mid)
     if not np.all(np.isfinite(z_new)):
         raise InstabilityError(state.step + 1)
-    new_curr = RealField(grid, z_new)
-    return SimState(
-        RealField(grid, z_mid),
-        new_curr,
-        poisson_solve(new_curr),
-        state.step + 1,
-        state.time + dt,
-    )
+    return _level(RealField(grid, z_mid), RealField(grid, z_new),
+                  state.step + 1, state.time + dt)
 
 
 def integrate(zeta0: RealField, params: ModelParams, steps: int,

@@ -1,8 +1,11 @@
 """Doubly periodic grid and field containers.
 
-The grid carries precomputed angular wavenumber arrays so spectral
-operations never rebuild them. Fields are thin immutable wrappers around
-float64/complex128 arrays; all numerics operate on the raw arrays.
+The grid builds its angular wavenumber arrays on each call, in full fft
+shape. The spectral operators do not call them per step: they read the
+rfft2-shaped arrays of the one cached ``spectral.workspace`` per grid,
+which ``Grid`` can key because it is frozen and hashable. Fields are
+thin immutable wrappers around float64/complex128 arrays; all numerics
+operate on the raw arrays.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ class Grid:
     def shape(self) -> tuple[int, int]:
         return (self.nx, self.ny)
 
-    # Wavenumber helpers; cheap enough to rebuild, cached by lru on module
-    # level would complicate hashing, so we keep plain properties.
+    # Wavenumber helpers in full fft shape, rebuilt on every call; the
+    # stepper reads the cached rfft2-shaped ones of spectral.workspace.
     def kx(self) -> np.ndarray:
         """Angular wavenumbers along x, fft order, shape (nx, 1)."""
         return (2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.dx))[:, None]

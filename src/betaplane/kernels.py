@@ -1,8 +1,9 @@
 """Hot stencil kernels with numba and pure-numpy implementations.
 
 The Arakawa bracket is the dominant per-step cost besides the FFTs, so
-it gets an ``@njit`` loop kernel. The numpy fallback uses np.roll and is
-selected via BETAPLANE_NO_NUMBA=1 (see betaplane._accel).
+it gets an ``@njit`` loop kernel. The numpy fallback reads the stencil
+neighbours as slices of wrap-padded copies and is selected via
+BETAPLANE_NO_NUMBA=1 or when numba is missing (see betaplane._accel).
 """
 
 from __future__ import annotations
@@ -19,33 +20,32 @@ def arakawa_numpy(a: np.ndarray, b: np.ndarray, dx: float, dy: float) -> np.ndar
     makes sum J, sum a*J and sum b*J vanish to roundoff and gives exact
     antisymmetry under a <-> b.
     """
+    nx, ny = a.shape
+    ap = np.pad(a, 1, mode="wrap")
+    bp = np.pad(b, 1, mode="wrap")
 
-    def xp(f):
-        return np.roll(f, -1, axis=0)
+    def at(p, di, dj):
+        """View of a padded field holding f[i + di, j + dj] at [i, j]."""
+        return p[1 + di : 1 + di + nx, 1 + dj : 1 + dj + ny]
 
-    def xm(f):
-        return np.roll(f, 1, axis=0)
-
-    def yp(f):
-        return np.roll(f, -1, axis=1)
-
-    def ym(f):
-        return np.roll(f, 1, axis=1)
-
-    j1 = (xp(a) - xm(a)) * (yp(b) - ym(b)) - (yp(a) - ym(a)) * (xp(b) - xm(b))
+    # Keep the operands and operation order of the np.roll oracle in
+    # tests/test_kernels.py: the result must equal it bit for bit.
+    j1 = (at(ap, 1, 0) - at(ap, -1, 0)) * (at(bp, 0, 1) - at(bp, 0, -1)) - (
+        at(ap, 0, 1) - at(ap, 0, -1)
+    ) * (at(bp, 1, 0) - at(bp, -1, 0))
 
     j2 = (
-        xp(a) * (yp(xp(b)) - ym(xp(b)))
-        - xm(a) * (yp(xm(b)) - ym(xm(b)))
-        - yp(a) * (xp(yp(b)) - xm(yp(b)))
-        + ym(a) * (xp(ym(b)) - xm(ym(b)))
+        at(ap, 1, 0) * (at(bp, 1, 1) - at(bp, 1, -1))
+        - at(ap, -1, 0) * (at(bp, -1, 1) - at(bp, -1, -1))
+        - at(ap, 0, 1) * (at(bp, 1, 1) - at(bp, -1, 1))
+        + at(ap, 0, -1) * (at(bp, 1, -1) - at(bp, -1, -1))
     )
 
     j3 = (
-        yp(xp(a)) * (yp(b) - xp(b))
-        - ym(xm(a)) * (xm(b) - ym(b))
-        - yp(xm(a)) * (yp(b) - xm(b))
-        + ym(xp(a)) * (xp(b) - ym(b))
+        at(ap, 1, 1) * (at(bp, 0, 1) - at(bp, 1, 0))
+        - at(ap, -1, -1) * (at(bp, -1, 0) - at(bp, 0, -1))
+        - at(ap, -1, 1) * (at(bp, 0, 1) - at(bp, -1, 0))
+        + at(ap, 1, -1) * (at(bp, 1, 0) - at(bp, 0, -1))
     )
 
     return (j1 + j2 + j3) / (12.0 * dx * dy)

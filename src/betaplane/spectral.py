@@ -2,13 +2,76 @@
 
 Convention: forward transform is unscaled, the inverse carries
 1/(nx*ny), so Parseval reads sum |f|^2 = sum |fhat|^2 / (nx*ny).
+
+Derivatives, Laplacians and the Poisson inversion act on real fields
+through ``np.fft.rfft2``/``irfft2(s=grid.shape)``: the half spectrum has
+shape (nx, ny//2 + 1), full fft order along x and non-negative
+wavenumbers along y. Their wavenumber factors come from one read-only
+``Workspace`` per grid (see ``workspace``). ``dft2``/``idft2`` and
+``spectral_shift`` keep the full complex spectrum.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import lru_cache
+
 import numpy as np
 
-from .grid import Grid, GridConfigError, RealField, SpectralField
+from .grid import Grid, RealField, SpectralField
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class Workspace:
+    """Wavenumber factors of one grid in rfft2 shape, all read-only.
+
+    kx has shape (nx, 1) and ky shape (1, ny//2 + 1); k2 and the
+    inverse-Laplacian factor -1/k2 (zero mode set to 0) have the full
+    half-spectrum shape (nx, ny//2 + 1). The first-derivative factors
+    i*kx and i*ky have the shapes of kx and ky, with the Nyquist entry
+    zeroed: that mode has no well-defined sign for odd derivatives.
+    """
+
+    kx: np.ndarray
+    ky: np.ndarray
+    k2: np.ndarray
+    inv_laplacian: np.ndarray
+    ikx: np.ndarray
+    iky: np.ndarray
+
+    def derivative_factor(self, axis: str, order: int) -> np.ndarray:
+        """(i k)^order along axis, Nyquist zeroed for odd orders."""
+        if axis == "x":
+            k, ik = self.kx, self.ikx
+        elif axis == "y":
+            k, ik = self.ky, self.iky
+        else:
+            raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+        if order == 1:
+            return ik
+        if order % 2:
+            return ik**order
+        return (-(k * k)) ** (order // 2)
+
+
+@lru_cache(maxsize=None)
+def workspace(grid: Grid) -> Workspace:
+    """The cached Workspace of grid (Grid is frozen, so it is the key)."""
+    kx = grid.kx()
+    ky = 2.0 * np.pi * np.fft.rfftfreq(grid.ny, d=grid.dy)[None, :]
+    k2 = kx * kx + ky * ky
+    inv_laplacian = np.zeros_like(k2)
+    np.divide(-1.0, k2, out=inv_laplacian, where=k2 > 0.0)
+    ikx = 1j * kx
+    ikx[grid.nx // 2, :] = 0.0
+    iky = 1j * ky
+    iky[:, grid.ny // 2] = 0.0
+    return Workspace(*(_frozen(a) for a in (kx, ky, k2, inv_laplacian, ikx, iky)))
 
 
 def dft2(f: RealField) -> SpectralField:
@@ -25,43 +88,25 @@ def idft2(F: SpectralField) -> RealField:
     return RealField(F.grid, np.fft.ifft2(F.coefficients).real)
 
 
-def _derivative_factor(grid: Grid, axis: str, order: int) -> np.ndarray:
-    if axis == "x":
-        k = grid.kx()
-        n = grid.nx
-    elif axis == "y":
-        k = grid.ky()
-        n = grid.ny
-    else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    factor = (1j * k) ** order
-    if order % 2:
-        # The Nyquist mode has no well-defined sign for odd derivatives;
-        # zero it to keep the result real and symmetric.
-        nyq = n // 2
-        if axis == "x":
-            factor[nyq, :] = 0.0
-        else:
-            factor[:, nyq] = 0.0
-    return factor
+def _apply(f: RealField, factor: np.ndarray) -> RealField:
+    """irfft2(rfft2(f) * factor) on f's grid."""
+    fhat = np.fft.rfft2(f.values)
+    fhat *= factor
+    return RealField(f.grid, np.fft.irfft2(fhat, s=f.grid.shape))
 
 
 def spectral_derivative(f: RealField, axis: str, order: int = 1) -> RealField:
     """d^order f / d axis^order by multiplication with (i k)^order."""
     if order < 1:
         raise ValueError("derivative order must be >= 1")
-    fhat = np.fft.fft2(f.values)
-    fhat *= _derivative_factor(f.grid, axis, order)
-    return RealField(f.grid, np.fft.ifft2(fhat).real)
+    return _apply(f, workspace(f.grid).derivative_factor(axis, order))
 
 
 def laplacian(f: RealField, power: int = 1) -> RealField:
     """Delta^power f computed spectrally."""
     if power < 1:
         raise ValueError("laplacian power must be >= 1")
-    fhat = np.fft.fft2(f.values)
-    fhat *= (-f.grid.k2()) ** power
-    return RealField(f.grid, np.fft.ifft2(fhat).real)
+    return _apply(f, (-workspace(f.grid).k2) ** power)
 
 
 def poisson_solve(zeta: RealField) -> RealField:
@@ -70,30 +115,24 @@ def poisson_solve(zeta: RealField) -> RealField:
     A nonzero mean of zeta has no periodic solution; it is projected
     out silently (the callers keep zeta zero-mean anyway).
     """
-    grid = zeta.grid
-    zhat = np.fft.fft2(zeta.values)
-    k2 = grid.k2()
-    k2[0, 0] = 1.0  # avoid division by zero; mode is zeroed below
-    psihat = zhat / (-k2)
-    psihat[0, 0] = 0.0
-    return RealField(grid, np.fft.ifft2(psihat).real)
+    return _apply(zeta, workspace(zeta.grid).inv_laplacian)
 
 
 def dealias_truncate(f: RealField) -> RealField:
     """2/3-rule truncation, used only in convergence studies."""
-    grid = f.grid
-    fhat = np.fft.fft2(f.values)
-    kx_cut = (2.0 / 3.0) * np.abs(grid.kx()).max()
-    ky_cut = (2.0 / 3.0) * np.abs(grid.ky()).max()
-    mask = (np.abs(grid.kx()) <= kx_cut) & (np.abs(grid.ky()) <= ky_cut)
-    return RealField(grid, np.fft.ifft2(fhat * mask).real)
+    ws = workspace(f.grid)
+    kx_cut = (2.0 / 3.0) * np.abs(ws.kx).max()
+    ky_cut = (2.0 / 3.0) * np.abs(ws.ky).max()
+    return _apply(f, (np.abs(ws.kx) <= kx_cut) & (np.abs(ws.ky) <= ky_cut))
 
 
 def spectral_shift(f: RealField, shift_x: float, shift_y: float) -> RealField:
     """Translate f by (shift_x, shift_y): result(x) = f(x - shift).
 
     Exact for band-limited fields; the Nyquist modes are phase-shifted
-    symmetrically via the real part.
+    symmetrically via the real part. Uses the full complex spectrum:
+    irfft2 would drop the imaginary part the phase gives the Nyquist
+    column instead.
     """
     grid = f.grid
     if shift_x == 0.0 and shift_y == 0.0:

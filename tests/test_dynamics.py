@@ -186,3 +186,36 @@ def test_step_determinism(grid):
     a = integrate(zeta0, params, 20)
     b = integrate(zeta0, params, 20)
     assert np.array_equal(a.zeta_curr.values, b.zeta_curr.values)
+
+
+def test_leapfrog_step_takes_five_real_transforms(grid, monkeypatch):
+    """One rfft2 gives psi_hat, two irfft2 give psi and psi_x, and the
+    invariant_hyper closure adds one Laplacian (two transforms): five
+    real transforms per leapfrog step and no complex fft2/ifft2."""
+    from collections import Counter
+
+    from betaplane.dissipation import DissipationSpec
+
+    zeta0 = laplacian(two_mode_field(grid))
+    counts = Counter()
+    for name in ("rfft2", "irfft2", "fft2", "ifft2"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+
+    params = ModelParams(
+        beta=2.0, dt=0.005,
+        dissipation=DissipationSpec("invariant_hyper", n=2, nu=1e-6),
+    )
+    integrate(zeta0, params, 1)  # initial level and bootstrap only
+    start_up = sum(counts.values())
+    counts.clear()
+    steps = 4
+    integrate(zeta0, params, steps)
+    assert counts["fft2"] == counts["ifft2"] == 0
+    per_step = (sum(counts.values()) - start_up) / (steps - 1)
+    assert per_step == 5

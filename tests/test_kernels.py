@@ -13,6 +13,41 @@ from betaplane.kernels import NUMBA_ENABLED, arakawa, arakawa_numba, arakawa_num
 from betaplane.spectral import laplacian, spectral_derivative
 
 
+def arakawa_roll_oracle(a, b, dx, dy):
+    """The bracket as it was first written, from np.roll copies; the
+    slice form must reproduce it bit for bit."""
+
+    def xp(f):
+        return np.roll(f, -1, axis=0)
+
+    def xm(f):
+        return np.roll(f, 1, axis=0)
+
+    def yp(f):
+        return np.roll(f, -1, axis=1)
+
+    def ym(f):
+        return np.roll(f, 1, axis=1)
+
+    j1 = (xp(a) - xm(a)) * (yp(b) - ym(b)) - (yp(a) - ym(a)) * (xp(b) - xm(b))
+
+    j2 = (
+        xp(a) * (yp(xp(b)) - ym(xp(b)))
+        - xm(a) * (yp(xm(b)) - ym(xm(b)))
+        - yp(a) * (xp(yp(b)) - xm(yp(b)))
+        + ym(a) * (xp(ym(b)) - xm(ym(b)))
+    )
+
+    j3 = (
+        yp(xp(a)) * (yp(b) - xp(b))
+        - ym(xm(a)) * (xm(b) - ym(b))
+        - yp(xm(a)) * (yp(b) - xm(b))
+        + ym(xp(a)) * (xp(b) - ym(b))
+    )
+
+    return (j1 + j2 + j3) / (12.0 * dx * dy)
+
+
 def random_fields(seed, n=32):
     grid = Grid(n, n, 2.0 * np.pi, 2.0 * np.pi)
     rng = np.random.default_rng(seed)
@@ -83,6 +118,18 @@ def test_numba_and_numpy_paths_identical():
     j_fast = arakawa_numba(a, b, grid.dx, grid.dy)
     j_ref = arakawa_numpy(a, b, grid.dx, grid.dy)
     assert np.array_equal(j_fast, j_ref)
+
+
+@pytest.mark.parametrize("nx,ny", [(4, 4), (6, 10), (64, 64), (256, 256)])
+def test_numpy_bracket_bit_identical_to_roll_form(nx, ny):
+    """N = 4 is the smallest legal grid, where the +1 and -1 neighbours
+    wrap onto each other; 6x10 checks the axes are not swapped."""
+    grid = Grid(nx, ny, 2.0 * np.pi, 3.0)
+    rng = np.random.default_rng(nx * 1000 + ny)
+    a = rng.standard_normal(grid.shape)
+    b = rng.standard_normal(grid.shape)
+    j = arakawa_numpy(a, b, grid.dx, grid.dy)
+    assert np.array_equal(j, arakawa_roll_oracle(a, b, grid.dx, grid.dy))
 
 
 @settings(max_examples=25, deadline=None)

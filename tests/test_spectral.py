@@ -1,13 +1,17 @@
 """Spectral derivatives, Poisson inversion and shifts against analytic
-trigonometric oracles."""
+trigonometric oracles and a complex-fft2 reference, plus the per-grid
+workspace they share."""
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from betaplane.grid import Grid, RealField
 from betaplane.spectral import (
+    Workspace,
     dealias_truncate,
     dft2,
     idft2,
@@ -16,6 +20,7 @@ from betaplane.spectral import (
     poisson_solve,
     spectral_derivative,
     spectral_shift,
+    workspace,
 )
 
 
@@ -114,3 +119,92 @@ def test_derivative_rejects_bad_axis(grid):
         spectral_derivative(f, "z")
     with pytest.raises(ValueError):
         spectral_derivative(f, "x", 0)
+
+
+# Non-square grid with lx != ly; a random field has energy in the
+# Nyquist row and column, where rfft2 and fft2 handle modes differently.
+ODD_GRID = Grid(12, 8, 2.0, 3.5)
+
+
+def random_field(grid, seed=5):
+    f = RealField(grid, np.random.default_rng(seed).standard_normal(grid.shape))
+    fhat = np.fft.fft2(f.values)
+    assert np.abs(fhat[grid.nx // 2, :]).min() > 0.0
+    assert np.abs(fhat[:, grid.ny // 2]).min() > 0.0
+    return f
+
+
+def complex_reference(f, factor):
+    """The operator through the full complex spectrum."""
+    return np.fft.ifft2(np.fft.fft2(f.values) * factor).real
+
+
+def assert_matches(got, ref):
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_derivative_matches_complex_reference(axis, order):
+    grid = ODD_GRID
+    f = random_field(grid)
+    k = grid.kx() if axis == "x" else grid.ky()
+    factor = (1j * k) ** order
+    if order % 2:
+        if axis == "x":
+            factor[grid.nx // 2, :] = 0.0
+        else:
+            factor[:, grid.ny // 2] = 0.0
+    got = spectral_derivative(f, axis, order).values
+    assert_matches(got, complex_reference(f, factor))
+
+
+@pytest.mark.parametrize("power", [1, 2, 3])
+def test_laplacian_matches_complex_reference(power):
+    f = random_field(ODD_GRID)
+    got = laplacian(f, power).values
+    assert_matches(got, complex_reference(f, (-ODD_GRID.k2()) ** power))
+
+
+def test_poisson_matches_complex_reference():
+    f = random_field(ODD_GRID)
+    k2 = ODD_GRID.k2()
+    k2[0, 0] = 1.0
+    factor = -1.0 / k2
+    factor[0, 0] = 0.0
+    assert_matches(poisson_solve(f).values, complex_reference(f, factor))
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_odd_derivatives_zero_nyquist_on_both_axes(order):
+    grid = ODD_GRID
+    f = random_field(grid)
+    fx_hat = np.fft.rfft2(spectral_derivative(f, "x", order).values)
+    fy_hat = np.fft.rfft2(spectral_derivative(f, "y", order).values)
+    scale = np.abs(np.fft.rfft2(f.values)).max()
+    assert np.abs(fx_hat[grid.nx // 2, :]).max() < 1e-12 * scale
+    assert np.abs(fy_hat[:, grid.ny // 2]).max() < 1e-12 * scale
+
+
+def test_workspace_arrays_are_read_only():
+    ws = workspace(ODD_GRID)
+    for field in fields(Workspace):
+        array = getattr(ws, field.name)
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            array *= 2.0
+
+
+def test_equal_grids_share_one_workspace():
+    a = Grid(12, 8, 2.0, 3.5)
+    b = Grid(12, 8, 2.0, 3.5)
+    assert a is not b
+    workspace(a)
+    entries = workspace.cache_info().currsize
+    f = random_field(b)
+    spectral_derivative(f, "x")
+    laplacian(f)
+    poisson_solve(f)
+    assert workspace(b) is workspace(a)
+    assert workspace.cache_info().currsize == entries
