@@ -16,7 +16,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dissipation import DissipationSpec
+from .dynamics import ModelParams
 from .grid import Grid, RealField
+from .spectral import shell_sums, workspace
 
 IC_SHAPES = ("banded-gaussian",)
 
@@ -87,6 +89,12 @@ class RunConfig:
 
     def with_initial_psi(self, psi: RealField) -> "RunConfig":
         return replace(self, grid=psi.grid, initial_psi=psi)
+
+    def model_params(self, dt: float) -> ModelParams:
+        """The stepper's constants for this run at the resolved step dt."""
+        return ModelParams(beta=self.beta, dt=dt, dissipation=self.dissipation,
+                           raw_gamma=self.raw_gamma, raw_alpha=self.raw_alpha,
+                           mean_velocity=self.mean_velocity)
 
 
 _SCHEMA = {
@@ -224,20 +232,16 @@ def generate_initial_condition(cfg: RunConfig) -> RealField:
             stacklevel=2,
         )
     rng = np.random.default_rng(ic.seed)
-    psihat = np.fft.fft2(rng.standard_normal(grid.shape))
-
-    kx_idx = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)[:, None]
-    ky_idx = np.fft.fftfreq(grid.ny, d=1.0 / grid.ny)[None, :] * (grid.lx / grid.ly)
-    m = np.sqrt(kx_idx**2 + ky_idx**2)
-    shell = np.floor(m + 0.5).astype(np.intp)
+    psihat = np.fft.rfft2(rng.standard_normal(grid.shape))
+    ws = workspace(grid)
+    # min(nx, ny)//2 shells band-limit the field to the disc both axes
+    # resolve (energy_spectrum bins to max(nx, ny)//2 to drop nothing)
     n_shells = min(grid.nx, grid.ny) // 2
 
-    psihat[shell > n_shells] = 0.0  # band-limit the corner modes first
+    psihat[ws.shell > n_shells] = 0.0  # band-limit the corner modes first
     psihat[0, 0] = 0.0
-    k2 = grid.k2()
-    mode_e = 0.5 * k2 * np.abs(psihat) ** 2 / (grid.nx * grid.ny) ** 2
-    current = np.zeros(n_shells + 1)
-    np.add.at(current, np.minimum(shell, n_shells), mode_e)
+    mode_e = 0.5 * ws.k2 * np.abs(psihat) ** 2 / (grid.nx * grid.ny) ** 2
+    current = shell_sums(grid, mode_e, n_shells)
 
     target = np.zeros(n_shells + 1)
     ms = np.arange(1, n_shells + 1, dtype=float)
@@ -247,9 +251,9 @@ def generate_initial_condition(cfg: RunConfig) -> RealField:
     ok = current > 0.0
     ok[0] = False
     gain[ok] = np.sqrt(target[ok] / current[ok])
-    psihat *= gain[np.minimum(shell, n_shells)]
+    psihat *= gain[np.minimum(ws.shell, n_shells)]
 
-    psi = np.fft.ifft2(psihat).real
+    psi = np.fft.irfft2(psihat, s=grid.shape)
     energy = float(np.sum(target))
     if energy <= 0.0:
         raise ConfigError("initial spectrum has no energy")

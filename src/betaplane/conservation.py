@@ -22,6 +22,7 @@ import numpy as np
 
 from .dissipation import DissipationSpec, dissipation
 from .grid import RealField
+from .identities import FD_H_SCALE, richardson3
 from .jets import (
     AnalyticField,
     JetPoly,
@@ -37,8 +38,6 @@ from .jets import (
 )
 
 CHARACTERISTICS = ("f", "gy", "psi")
-
-_FD_H_SCALE = 5.0e-4
 
 
 def _laplacian_poly(p: JetPoly) -> JetPoly:
@@ -198,10 +197,7 @@ def _total_fd(fn, point, direction: int, h: float) -> float:
         minus[direction] -= step
         return (fn(tuple(plus)) - fn(tuple(minus))) / (2.0 * step)
 
-    # two-stage Richardson: cancels the h^2 and h^4 error terms
-    r1 = (4.0 * central(0.5 * h) - central(h)) / 3.0
-    r2 = (4.0 * central(0.25 * h) - central(0.5 * h)) / 3.0
-    return (16.0 * r2 - r1) / 15.0
+    return richardson3((central(h), central(0.5 * h), central(0.25 * h)))
 
 
 def divergence_identity_residual(char: str, field: AnalyticField,
@@ -222,7 +218,7 @@ def divergence_identity_residual(char: str, field: AnalyticField,
     lhs = lam * vorticity_residual(field, point, nu, beta)
 
     ft, fx, fy = _FLUXES[char](field, f, g, nu, beta)
-    h = _FD_H_SCALE * field.shortest_wavelength()
+    h = FD_H_SCALE * field.shortest_wavelength()
     rhs = _total_fd(fx, point, 1, h) + _total_fd(fy, point, 2, h)
     if ft is not None:
         rhs += _total_fd(ft, point, 0, h)

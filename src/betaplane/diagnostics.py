@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import RealField
+from .spectral import shell_sums, workspace
 
 
 @dataclass(frozen=True)
@@ -63,25 +64,15 @@ def energy_spectrum(psi: RealField) -> SpectrumResult:
     energy; the zero mode carries no energy and is excluded.
     """
     grid = psi.grid
-    warn = grid.lx != grid.ly
-    psihat = np.fft.fft2(psi.values)
-    k2 = grid.k2()
     # mode energies, normalized to average energy (Parseval for the
     # unscaled-forward convention needs 1/(nx*ny)^2)
-    mode_e = 0.5 * k2 * np.abs(psihat) ** 2 / (grid.nx * grid.ny) ** 2
-    k_fund = 2.0 * np.pi / grid.lx
-    kx_idx = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)[:, None]
-    ky_idx = np.fft.fftfreq(grid.ny, d=1.0 / grid.ny)[None, :] * (
-        grid.lx / grid.ly
-    )
-    m = np.sqrt(kx_idx**2 + ky_idx**2)
-    shell = np.floor(m + 0.5).astype(np.intp)
-    n_shells = max(grid.nx, grid.ny) // 2
-    shells = np.zeros(n_shells + 1)
-    np.add.at(shells, np.minimum(shell, n_shells), mode_e)
-    # shell index 0 (the mean mode) is dropped; bins past n_shells were
-    # folded into the last one, which only matters in the far corner
-    return SpectrumResult(shells=shells[1:], anisotropic_warning=warn)
+    mode_e = 0.5 * workspace(grid).k2 * np.abs(np.fft.rfft2(psi.values)) ** 2
+    mode_e /= (grid.nx * grid.ny) ** 2
+    # max(nx, ny)//2 shells, so that no mode of either axis is dropped;
+    # bins past it fold into the last one, which only matters in the
+    # far corner. Shell 0 (the mean mode) is dropped.
+    shells = shell_sums(grid, mode_e, max(grid.nx, grid.ny) // 2)
+    return SpectrumResult(shells=shells[1:], anisotropic_warning=grid.lx != grid.ly)
 
 
 def fit_slope(spec: SpectrumResult, m_lo: int, m_hi: int) -> float:

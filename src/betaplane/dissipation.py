@@ -3,7 +3,9 @@
 All variants return the contribution to the raw zeta equation
 zeta_t + J(psi, zeta) + beta psi_x = D. Derivatives are spectral except
 the bracket inside the anticipated-vorticity closure, which uses the
-Arakawa stencil like the resolved advection.
+Arakawa stencil like the resolved advection. Every field is forward
+transformed once however many of its derivatives a closure needs
+(``spectral.derive``).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .grid import RealField
 from .kernels import arakawa
-from .spectral import laplacian, spectral_derivative
+from .spectral import derive, laplacian, spectral_derivative, workspace
 
 VARIANTS = (
     "none",
@@ -100,38 +102,33 @@ def closure(spec: DissipationSpec, psi: RealField, psi_x: np.ndarray | None,
         # eta = zeta + beta*y is split analytically so the stencil never
         # sees the non-periodic beta*y ramp:
         # J(psi_y, eta) = J(psi_y, zeta) + beta*psi_xy, eta_yy = zeta_yy.
-        psi_y = spectral_derivative(psi, "y")
-        psi_xy = spectral_derivative(psi_y, "x").values
-        bracket = arakawa(psi_y.values, zeta.values, grid.dx, grid.dy) + beta * psi_xy
+        ws = workspace(grid)
+        psi_y, psi_xy = derive(psi, ws.iky, ws.iky * ws.ikx)
+        bracket = arakawa(psi_y, zeta.values, grid.dx, grid.dy) + beta * psi_xy
         zeta_yy = spectral_derivative(zeta, "y", 2).values
         d = nu * np.sqrt(np.abs(psi_x)) * (np.sign(psi_x) * bracket + psi_x * zeta_yy)
     elif spec.kind == "conservative_seventh":
         z = zeta.values
-        lap_z = laplacian(zeta).values
-        zx = spectral_derivative(zeta, "x").values
-        zy = spectral_derivative(zeta, "y").values
+        ws = workspace(grid)
+        lap_z, zx, zy = derive(zeta, -ws.k2, ws.ikx, ws.iky)
         with np.errstate(over="ignore", invalid="ignore"):
-            inner = z**5 * lap_z + 6.0 * z**4 * (zx**2 + zy**2)
-        if not np.all(np.isfinite(inner)):
-            raise DissipationOverflowError(
-                f"non-finite output from {spec.kind} closure (nu={nu}, K={K})"
-            )
+            inner = _finite(spec, z**5 * lap_z + 6.0 * z**4 * (zx**2 + zy**2))
         d = 7.0 * nu * laplacian(RealField(grid, inner)).values
     elif spec.kind == "conservative_fourth":
         d = nu * laplacian(RealField(grid, _finite(spec, zeta.values**4))).values
     elif spec.kind == "isotropic_a":
         d = sign * nu * zeta.values ** (2 * n + 1) * laplacian(zeta, n).values
     elif spec.kind == "isotropic_b":
-        core = zeta if n == 1 else laplacian(zeta, n - 1)
+        ws = workspace(grid)
+        core = (-ws.k2) ** (n - 1)
+        core_x, core_y = derive(zeta, core * ws.ikx, core * ws.iky)
         with np.errstate(over="ignore", invalid="ignore"):
             coeff = zeta.values ** (2 * n + 1)
-            fxv = _finite(spec, coeff * spectral_derivative(core, "x").values)
-            fyv = _finite(spec, coeff * spectral_derivative(core, "y").values)
-        fx = RealField(grid, fxv)
-        fy = RealField(grid, fyv)
-        d = sign * nu * (
-            spectral_derivative(fx, "x").values + spectral_derivative(fy, "y").values
-        )
+            fx = _finite(spec, coeff * core_x)
+            fy = _finite(spec, coeff * core_y)
+        # the divergence of (fx, fy) from one inverse transform
+        div_hat = np.fft.rfft2(fx) * ws.ikx + np.fft.rfft2(fy) * ws.iky
+        d = sign * nu * np.fft.irfft2(div_hat, s=grid.shape)
     else:  # pragma: no cover - guarded by DissipationSpec
         raise ValueError(spec.kind)
 

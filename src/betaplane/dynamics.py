@@ -14,7 +14,7 @@ import numpy as np
 from .dissipation import DissipationSpec, closure
 from .grid import Grid, RealField
 from .kernels import arakawa
-from .spectral import spectral_derivative, workspace
+from .spectral import derive, spectral_derivative, workspace
 
 
 class InstabilityError(RuntimeError):
@@ -65,13 +65,6 @@ class SimState:
     @property
     def grid(self) -> Grid:
         return self.zeta_curr.grid
-
-
-def arakawa_jacobian(a: RealField, b: RealField) -> RealField:
-    """J(a, b) = a_x b_y - a_y b_x via the conserving nine-point stencil."""
-    if a.grid != b.grid:
-        raise ValueError("fields live on different grids")
-    return RealField(a.grid, arakawa(a.values, b.values, a.grid.dx, a.grid.dy))
 
 
 def _zero_mean(values: np.ndarray) -> np.ndarray:
@@ -199,9 +192,8 @@ def integrate(zeta0: RealField, params: ModelParams, steps: int,
 def auto_dt(psi: RealField, cfl: float = 0.4) -> float:
     """Fixed advective step 0.4*min(dx, dy)/max|grad psi|, set at t=0."""
     grid = psi.grid
-    ux = np.abs(spectral_derivative(psi, "y").values).max()
-    uy = np.abs(spectral_derivative(psi, "x").values).max()
-    umax = max(ux, uy)
+    ws = workspace(grid)
+    umax = max(np.abs(u).max() for u in derive(psi, ws.iky, ws.ikx))
     if umax == 0.0:
         raise ValueError("cannot size dt for a quiescent field")
     return cfl * min(grid.dx, grid.dy) / umax

@@ -1,11 +1,13 @@
-"""Doubly periodic grid and field containers.
+"""Doubly periodic grid and the real field container.
 
-The grid builds its angular wavenumber arrays on each call, in full fft
-shape. The spectral operators do not call them per step: they read the
-rfft2-shaped arrays of the one cached ``spectral.workspace`` per grid,
-which ``Grid`` can key because it is frozen and hashable. Fields are
-thin immutable wrappers around float64/complex128 arrays; all numerics
-operate on the raw arrays.
+The grid builds its angular wavenumbers kx, ky in full fft shape on
+each call; of the spectral code only the complex
+``spectral.spectral_shift`` reads them directly. The spectral
+operators, spectra and initial conditions read the rfft2-shaped
+wavenumber factors and shell table of the one cached
+``spectral.workspace`` per grid, which ``Grid`` can key because it is
+frozen and hashable. A field is a thin immutable wrapper around a
+float64 array; all numerics operate on the raw array.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ class Grid:
     def shape(self) -> tuple[int, int]:
         return (self.nx, self.ny)
 
-    # Wavenumber helpers in full fft shape, rebuilt on every call; the
-    # stepper reads the cached rfft2-shaped ones of spectral.workspace.
+    # Wavenumbers in full fft shape, rebuilt on every call; only
+    # spectral_shift and the building of spectral.workspace call them.
     def kx(self) -> np.ndarray:
         """Angular wavenumbers along x, fft order, shape (nx, 1)."""
         return (2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.dx))[:, None]
@@ -62,12 +64,6 @@ class Grid:
     def ky(self) -> np.ndarray:
         """Angular wavenumbers along y, fft order, shape (1, ny)."""
         return (2.0 * np.pi * np.fft.fftfreq(self.ny, d=self.dy))[None, :]
-
-    def k2(self) -> np.ndarray:
-        """kx^2 + ky^2 on the full (nx, ny) spectral grid."""
-        kx = self.kx()
-        ky = self.ky()
-        return kx * kx + ky * ky
 
     def x(self) -> np.ndarray:
         return (np.arange(self.nx) * self.dx)[:, None]
@@ -95,41 +91,3 @@ class RealField:
         if not np.all(np.isfinite(v)):
             raise ValueError("field contains non-finite values")
         object.__setattr__(self, "values", v)
-
-    def __add__(self, other: "RealField") -> "RealField":
-        self._check(other)
-        return RealField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "RealField") -> "RealField":
-        self._check(other)
-        return RealField(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "RealField":
-        return RealField(self.grid, self.values * scalar)
-
-    __rmul__ = __mul__
-
-    def _check(self, other: "RealField"):
-        if other.grid != self.grid:
-            raise GridConfigError("fields live on different grids")
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Complex Fourier coefficients of a real field, fft ordering.
-
-    coefficients[kx_index, ky_index] with the unscaled-forward
-    convention; conjugate symmetry holds whenever the field it came
-    from was real.
-    """
-
-    grid: Grid
-    coefficients: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=np.complex128)
-        if c.shape != self.grid.shape:
-            raise GridConfigError(
-                f"coefficient shape {c.shape} does not match grid {self.grid.shape}"
-            )
-        object.__setattr__(self, "coefficients", c)

@@ -82,7 +82,7 @@ def _check_stencil(field: AnalyticField, point: Point, offsets) -> None:
             )
 
 
-def _richardson3(samples: tuple[float, float, float]) -> float:
+def richardson3(samples: tuple[float, float, float]) -> float:
     """Two-stage Richardson extrapolation of second-order estimates at
     steps h, h/2, h/4: cancels the h^2 and h^4 error terms."""
     c_h, c_h2, c_h4 = samples
@@ -103,7 +103,7 @@ def _total_fd(field: AnalyticField, expr: InvariantExpression, point: Point,
         minus = expr(field, _displaced(point, _shift(direction, -step)))
         return (plus - minus) / (2.0 * step)
 
-    return _richardson3((central(h), central(0.5 * h), central(0.25 * h)))
+    return richardson3((central(h), central(0.5 * h), central(0.25 * h)))
 
 
 def _total_fd2(field: AnalyticField, expr: InvariantExpression, point: Point,
@@ -135,7 +135,7 @@ def _total_fd2(field: AnalyticField, expr: InvariantExpression, point: Point,
             mm = expr(field, _displaced(point, _displaced(_shift(i, -step), _shift(j, -step))))
             return (pp - pm - mp + mm) / (4.0 * step**2)
 
-    return _richardson3((second(h), second(0.5 * h), second(0.25 * h)))
+    return richardson3((second(h), second(0.5 * h), second(0.25 * h)))
 
 
 def _operator_coefficients(field: AnalyticField, direction: str, point: Point):

@@ -30,7 +30,7 @@ from .conservation import (
 )
 from .diagnostics import energy_spectrum, integrals
 from .dissipation import DissipationSpec
-from .dynamics import InstabilityError, ModelParams, auto_dt, integrate
+from .dynamics import InstabilityError, auto_dt, integrate
 from .grid import Grid, RealField
 from .identities import (
     IDENTITIES,
@@ -124,14 +124,7 @@ def run_experiment(cfg: RunConfig, out_dir=None) -> RunResult:
     if psi0 is None:
         psi0 = generate_initial_condition(cfg)
     dt = cfg.dt if cfg.dt is not None else auto_dt(psi0)
-    params = ModelParams(
-        beta=cfg.beta,
-        dt=dt,
-        dissipation=cfg.dissipation,
-        raw_gamma=cfg.raw_gamma,
-        raw_alpha=cfg.raw_alpha,
-        mean_velocity=cfg.mean_velocity,
-    )
+    params = cfg.model_params(dt)
     zeta0 = laplacian(psi0)
 
     last_state = None

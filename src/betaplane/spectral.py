@@ -1,14 +1,16 @@
-"""Discrete Fourier transforms, spectral derivatives and Poisson inversion.
+"""Spectral derivatives, Poisson inversion, shell sums and shifts.
 
 Convention: forward transform is unscaled, the inverse carries
-1/(nx*ny), so Parseval reads sum |f|^2 = sum |fhat|^2 / (nx*ny).
+1/(nx*ny), so Parseval reads sum |f|^2 = sum |fhat|^2 / (nx*ny) over the
+full spectrum, or over the half spectrum with each column counted by
+its ``Workspace.column_weight``.
 
-Derivatives, Laplacians and the Poisson inversion act on real fields
-through ``np.fft.rfft2``/``irfft2(s=grid.shape)``: the half spectrum has
-shape (nx, ny//2 + 1), full fft order along x and non-negative
-wavenumbers along y. Their wavenumber factors come from one read-only
-``Workspace`` per grid (see ``workspace``). ``dft2``/``idft2`` and
-``spectral_shift`` keep the full complex spectrum.
+Every real field goes to its derivatives through
+``np.fft.rfft2``/``irfft2(s=grid.shape)``: the half spectrum has shape
+(nx, ny//2 + 1), full fft order along x and non-negative wavenumbers
+along y. The wavenumber factors and the shell table of the energy
+spectra come from one read-only ``Workspace`` per grid (see
+``workspace``). Only ``spectral_shift`` keeps the full complex spectrum.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid, RealField, SpectralField
+from .grid import Grid, RealField
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -35,6 +37,12 @@ class Workspace:
     half-spectrum shape (nx, ny//2 + 1). The first-derivative factors
     i*kx and i*ky have the shapes of kx and ky, with the Nyquist entry
     zeroed: that mode has no well-defined sign for odd derivatives.
+
+    shell has the half-spectrum shape and holds the nearest integer of
+    |k| in units of the x-fundamental 2*pi/lx; column_weight, shape
+    (1, ny//2 + 1), counts each column of the half spectrum for itself
+    and its conjugate twin: 1 for the zero and y-Nyquist columns, 2 for
+    the interior ones.
     """
 
     kx: np.ndarray
@@ -43,6 +51,8 @@ class Workspace:
     inv_laplacian: np.ndarray
     ikx: np.ndarray
     iky: np.ndarray
+    shell: np.ndarray
+    column_weight: np.ndarray
 
     def derivative_factor(self, axis: str, order: int) -> np.ndarray:
         """(i k)^order along axis, Nyquist zeroed for odd orders."""
@@ -71,21 +81,33 @@ def workspace(grid: Grid) -> Workspace:
     ikx[grid.nx // 2, :] = 0.0
     iky = 1j * ky
     iky[:, grid.ny // 2] = 0.0
-    return Workspace(*(_frozen(a) for a in (kx, ky, k2, inv_laplacian, ikx, iky)))
+    mx = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)[:, None]
+    my = np.fft.rfftfreq(grid.ny, d=1.0 / grid.ny)[None, :] * (grid.lx / grid.ly)
+    # int32 keeps the cached table at half the size of an intp one
+    shell = np.floor(np.sqrt(mx**2 + my**2) + 0.5).astype(np.int32)
+    column_weight = np.full((1, grid.ny // 2 + 1), 2.0)
+    column_weight[0, [0, -1]] = 1.0
+    return Workspace(*(_frozen(a) for a in (kx, ky, k2, inv_laplacian, ikx, iky,
+                                            shell, column_weight)))
 
 
-def dft2(f: RealField) -> SpectralField:
-    """Forward 2D transform (unscaled)."""
-    return SpectralField(f.grid, np.fft.fft2(f.values))
+def shell_sums(grid: Grid, mode_values: np.ndarray, n_shells: int) -> np.ndarray:
+    """Sum half-spectrum mode values over shells 0..n_shells.
 
-
-def idft2(F: SpectralField) -> RealField:
-    """Inverse 2D transform; returns the real part.
-
-    For coefficients with conjugate symmetry the imaginary part is
-    roundoff only and is dropped.
+    Each mode is counted with its column weight, so the result equals
+    the sum over the full spectrum; shells past n_shells fold into the
+    last one.
     """
-    return RealField(F.grid, np.fft.ifft2(F.coefficients).real)
+    ws = workspace(grid)
+    return np.bincount(np.minimum(ws.shell, n_shells).ravel(),
+                       weights=(mode_values * ws.column_weight).ravel(),
+                       minlength=n_shells + 1)
+
+
+def derive(f: RealField, *factors: np.ndarray) -> list[np.ndarray]:
+    """irfft2(rfft2(f) * factor) for each factor, from one rfft2 of f."""
+    fhat = np.fft.rfft2(f.values)
+    return [np.fft.irfft2(fhat * factor, s=f.grid.shape) for factor in factors]
 
 
 def _apply(f: RealField, factor: np.ndarray) -> RealField:
@@ -118,14 +140,6 @@ def poisson_solve(zeta: RealField) -> RealField:
     return _apply(zeta, workspace(zeta.grid).inv_laplacian)
 
 
-def dealias_truncate(f: RealField) -> RealField:
-    """2/3-rule truncation, used only in convergence studies."""
-    ws = workspace(f.grid)
-    kx_cut = (2.0 / 3.0) * np.abs(ws.kx).max()
-    ky_cut = (2.0 / 3.0) * np.abs(ws.ky).max()
-    return _apply(f, (np.abs(ws.kx) <= kx_cut) & (np.abs(ws.ky) <= ky_cut))
-
-
 def spectral_shift(f: RealField, shift_x: float, shift_y: float) -> RealField:
     """Translate f by (shift_x, shift_y): result(x) = f(x - shift).
 
@@ -140,7 +154,3 @@ def spectral_shift(f: RealField, shift_x: float, shift_y: float) -> RealField:
     fhat = np.fft.fft2(f.values)
     phase = np.exp(-1j * (grid.kx() * shift_x + grid.ky() * shift_y))
     return RealField(grid, np.fft.ifft2(fhat * phase).real)
-
-
-def mean_removed(f: RealField) -> RealField:
-    return RealField(f.grid, f.values - f.values.mean())

@@ -19,7 +19,7 @@ import math
 
 from .config import RunConfig, generate_initial_condition
 from .diagnostics import energy_spectrum
-from .dynamics import InstabilityError, ModelParams, auto_dt, integrate
+from .dynamics import InstabilityError, auto_dt, integrate
 from .grid import Grid, RealField
 from .invariants import GroupElement
 from .spectral import laplacian, spectral_shift
@@ -129,17 +129,9 @@ def equivariance_experiment(cfg: RunConfig, gel: GroupElement,
     cfg_b = transform_setup(gel, cfg)
 
     def run(which: str, setup: RunConfig):
-        params = ModelParams(
-            beta=setup.beta,
-            dt=setup.dt,
-            dissipation=setup.dissipation,
-            raw_gamma=setup.raw_gamma,
-            raw_alpha=setup.raw_alpha,
-            mean_velocity=setup.mean_velocity,
-        )
         zeta0 = laplacian(setup.initial_psi)
         try:
-            return integrate(zeta0, params, steps)
+            return integrate(zeta0, setup.model_params(setup.dt), steps)
         except InstabilityError as exc:
             raise ExperimentInstabilityError(which, exc.step) from exc
 

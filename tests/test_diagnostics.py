@@ -11,8 +11,48 @@ from betaplane.diagnostics import (
     fit_slope,
     integrals,
 )
+from betaplane.config import IcSpec, RunConfig, generate_initial_condition
 from betaplane.grid import Grid, RealField
 from betaplane.spectral import laplacian
+
+
+def full_fft_spectrum_oracle(psi, n_shells):
+    """The shell spectrum as it was first written, on the full complex
+    fft2 with np.add.at binning; shells 1..n_shells, later ones folded
+    into the last."""
+    grid = psi.grid
+    psihat = np.fft.fft2(psi.values)
+    k2 = grid.kx() ** 2 + grid.ky() ** 2
+    mode_e = 0.5 * k2 * np.abs(psihat) ** 2 / (grid.nx * grid.ny) ** 2
+    kx_idx = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)[:, None]
+    ky_idx = np.fft.fftfreq(grid.ny, d=1.0 / grid.ny)[None, :] * (grid.lx / grid.ly)
+    shell = np.floor(np.sqrt(kx_idx**2 + ky_idx**2) + 0.5).astype(np.intp)
+    shells = np.zeros(n_shells + 1)
+    np.add.at(shells, np.minimum(shell, n_shells), mode_e)
+    return shells[1:]
+
+
+# Non-square, lx != ly: the shell index scales ky by lx/ly, and the
+# half spectrum has both a zero and a Nyquist column to weight once.
+ODD_GRID = Grid(12, 8, 2.0, 3.5)
+
+
+def test_spectrum_matches_full_fft_oracle_on_non_square_grid():
+    rng = np.random.default_rng(4)
+    psi = RealField(ODD_GRID, rng.standard_normal(ODD_GRID.shape))
+    shells = energy_spectrum(psi).shells
+    assert len(shells) == max(ODD_GRID.nx, ODD_GRID.ny) // 2
+    ref = full_fft_spectrum_oracle(psi, len(shells))
+    assert np.abs(shells - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_initial_condition_band_limited_on_non_square_grid():
+    cfg = RunConfig(grid=ODD_GRID, beta=0.0, steps=1, ic=IcSpec(k0=2.0, p=2.0, q=6.0))
+    psi = generate_initial_condition(cfg)
+    cutoff = min(ODD_GRID.nx, ODD_GRID.ny) // 2
+    shells = full_fft_spectrum_oracle(psi, 4 * cutoff)  # no folding
+    assert shells[cutoff - 1] > 0.0
+    assert np.abs(shells[cutoff:]).max() <= 1e-14 * shells.sum()
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ from betaplane.dynamics import (
     InstabilityError,
     ModelParams,
     SimState,
-    arakawa_jacobian,
     auto_dt,
     bootstrap,
     initial_state,
@@ -18,6 +17,7 @@ from betaplane.dynamics import (
     step_leapfrog_raw,
     tendency,
 )
+from betaplane.dissipation import VARIANTS, DissipationSpec
 from betaplane.grid import Grid, RealField
 from betaplane.spectral import laplacian, poisson_solve
 
@@ -151,8 +151,6 @@ def test_leapfrog_second_order_in_time(grid):
 
 
 def test_instability_reports_step(grid):
-    from betaplane.dissipation import DissipationSpec
-
     X, _ = grid.meshgrid()
     zeta0 = RealField(grid, 50.0 * np.cos(20 * X))
     params = ModelParams(
@@ -167,17 +165,10 @@ def test_instability_reports_step(grid):
 def test_auto_dt_scales_with_velocity(grid):
     psi = two_mode_field(grid)
     dt1 = auto_dt(psi)
-    dt2 = auto_dt(2.0 * psi)
+    dt2 = auto_dt(RealField(grid, 2.0 * psi.values))
     assert dt2 == pytest.approx(dt1 / 2.0, rel=1e-12)
     with pytest.raises(ValueError):
         auto_dt(RealField(grid, np.zeros(grid.shape)))
-
-
-def test_arakawa_jacobian_wrapper_grid_check(grid):
-    a = two_mode_field(grid)
-    b = two_mode_field(Grid(32, 32, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        arakawa_jacobian(a, b)
 
 
 def test_step_determinism(grid):
@@ -188,13 +179,10 @@ def test_step_determinism(grid):
     assert np.array_equal(a.zeta_curr.values, b.zeta_curr.values)
 
 
-def test_leapfrog_step_takes_five_real_transforms(grid, monkeypatch):
-    """One rfft2 gives psi_hat, two irfft2 give psi and psi_x, and the
-    invariant_hyper closure adds one Laplacian (two transforms): five
-    real transforms per leapfrog step and no complex fft2/ifft2."""
+def transforms_per_step(grid, monkeypatch, spec):
+    """numpy.fft transforms per leapfrog step of a run with closure spec;
+    asserts that none of them is a complex fft2/ifft2."""
     from collections import Counter
-
-    from betaplane.dissipation import DissipationSpec
 
     zeta0 = laplacian(two_mode_field(grid))
     counts = Counter()
@@ -207,15 +195,40 @@ def test_leapfrog_step_takes_five_real_transforms(grid, monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
 
-    params = ModelParams(
-        beta=2.0, dt=0.005,
-        dissipation=DissipationSpec("invariant_hyper", n=2, nu=1e-6),
-    )
+    params = ModelParams(beta=2.0, dt=0.005, dissipation=spec)
     integrate(zeta0, params, 1)  # initial level and bootstrap only
     start_up = sum(counts.values())
     counts.clear()
     steps = 4
     integrate(zeta0, params, steps)
     assert counts["fft2"] == counts["ifft2"] == 0
-    per_step = (sum(counts.values()) - start_up) / (steps - 1)
-    assert per_step == 5
+    return (sum(counts.values()) - start_up) / (steps - 1)
+
+
+def test_leapfrog_step_takes_five_real_transforms(grid, monkeypatch):
+    """One rfft2 gives psi_hat, two irfft2 give psi and psi_x, and the
+    invariant_hyper closure adds one Laplacian (two transforms): five
+    real transforms per leapfrog step and no complex fft2/ifft2."""
+    spec = DissipationSpec("invariant_hyper", n=2, nu=1e-6)
+    assert transforms_per_step(grid, monkeypatch, spec) == 5
+
+
+# The state takes 3 (psi_hat, psi, psi_x); each closure adds one rfft2
+# per field it transforms and one irfft2 per term it gets back.
+TRANSFORMS_PER_STEP = {
+    "none": 3,
+    "classical": 5,
+    "invariant_hyper": 5,
+    "down_gradient_invariant": 5,
+    "anticipated_invariant": 8,  # psi -> psi_y, psi_xy; zeta -> zeta_yy
+    "conservative_seventh": 9,  # zeta -> lap, zeta_x, zeta_y; Laplacian
+    "conservative_fourth": 5,
+    "isotropic_a": 5,
+    "isotropic_b": 9,  # zeta -> two gradients; (fx, fy) -> divergence
+}
+
+
+@pytest.mark.parametrize("kind", VARIANTS)
+def test_leapfrog_transforms_per_closure(grid, monkeypatch, kind):
+    spec = DissipationSpec(kind, n=2, nu=1e-9, K=1e-9)
+    assert transforms_per_step(grid, monkeypatch, spec) == TRANSFORMS_PER_STEP[kind]

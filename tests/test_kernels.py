@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betaplane.grid import Grid, RealField
-from betaplane.kernels import NUMBA_ENABLED, arakawa, arakawa_numba, arakawa_numpy
+from betaplane.kernels import (
+    NUMBA_ENABLED,
+    _arakawa_loops,
+    arakawa,
+    arakawa_numba,
+    arakawa_numpy,
+)
 from betaplane.spectral import laplacian, spectral_derivative
 
 
@@ -118,6 +124,18 @@ def test_numba_and_numpy_paths_identical():
     j_fast = arakawa_numba(a, b, grid.dx, grid.dy)
     j_ref = arakawa_numpy(a, b, grid.dx, grid.dy)
     assert np.array_equal(j_fast, j_ref)
+
+
+@pytest.mark.parametrize("nx,ny", [(4, 4), (6, 10), (32, 32)])
+def test_loop_formula_bit_identical_to_numpy(nx, ny):
+    """The plain-Python loops that numba compiles, run uncompiled, so
+    their formula is checked where numba is not installed too."""
+    grid = Grid(nx, ny, 2.0 * np.pi, 3.0)
+    rng = np.random.default_rng(nx * 1000 + ny + 1)
+    a = rng.standard_normal(grid.shape)
+    b = rng.standard_normal(grid.shape)
+    j = _arakawa_loops(a, b, grid.dx, grid.dy)
+    assert np.array_equal(j, arakawa_numpy(a, b, grid.dx, grid.dy))
 
 
 @pytest.mark.parametrize("nx,ny", [(4, 4), (6, 10), (64, 64), (256, 256)])
