@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -146,10 +147,14 @@ def _dispatch(args) -> int:
     if args.command == "certify-invariants":
         out = _out_dir(args.out_dir, None)
         out.mkdir(parents=True, exist_ok=True)
+        skipped = Counter()
         worst = certify_invariants(out / "invariant_identities.csv",
                                    n_fields=args.fields,
-                                   n_points=args.points, seed=args.seed)
+                                   n_points=args.points, seed=args.seed,
+                                   skipped=skipped)
         print(f"max residual {worst:.6e} -> {out / 'invariant_identities.csv'}")
+        print(f"skipped: {skipped.total()}"
+              + "".join(f" {name}={n}" for name, n in sorted(skipped.items())))
         return EXIT_OK
 
     if args.command == "certify-conservation":

@@ -16,21 +16,24 @@ invariants contributed by a closure alone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dissipation import DissipationSpec, dissipation
 from .grid import RealField
-from .identities import FD_H_SCALE, richardson3
+from .identities import FD_H_SCALE, central_difference
 from .jets import (
     AnalyticField,
+    CompiledPoly,
+    Jet,
     JetPoly,
     TimeFunction,
     ZETA,
     jp_add,
+    jp_compile,
     jp_coord,
-    jp_eval,
     jp_mul,
     jp_pow,
     jp_scale,
@@ -88,14 +91,25 @@ _L_ORDER = 6
 _FLUX_ORDER = 5
 
 
+@functools.lru_cache(maxsize=1)
+def _compiled_polys() -> dict[str, CompiledPoly]:
+    # Compiled on first use, so importing the module costs no more.
+    return {name: jp_compile(p) for name, p in _POLYS.items()}
+
+
+def _eval(name: str, z: Jet) -> float:
+    """jp_eval(_POLYS[name], z), through the compiled form."""
+    return _compiled_polys()[name].evaluate(z)
+
+
 def vorticity_residual(field: AnalyticField, point, nu: float,
                        beta: float) -> float:
     """L = zeta_t + psi_x zeta_y - psi_y zeta_x + beta psi_x - D at a point."""
     z = field.jet(tuple(point), _L_ORDER)
     return (
-        jp_eval(_POLYS["advection"], z)
+        _eval("advection", z)
         + beta * z[(0, 1, 0)]
-        - nu * jp_eval(_POLYS["d"], z)
+        - nu * _eval("d", z)
     )
 
 
@@ -105,9 +119,9 @@ def _flux_f(field, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
         ft = f(point[0])
         return ft * (
             z[(1, 1, 0)]
-            + z[(0, 0, 0)] * jp_eval(_POLYS["zeta_y"], z)
+            + z[(0, 0, 0)] * _eval("zeta_y", z)
             + beta * z[(0, 0, 0)]
-            - nu * jp_eval(_POLYS["q_x"], z)
+            - nu * _eval("q_x", z)
         )
 
     def fy(point):
@@ -115,8 +129,8 @@ def _flux_f(field, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
         ft = f(point[0])
         return ft * (
             z[(1, 0, 1)]
-            - z[(0, 0, 0)] * jp_eval(_POLYS["zeta_x"], z)
-            - nu * jp_eval(_POLYS["q_y"], z)
+            - z[(0, 0, 0)] * _eval("zeta_x", z)
+            - nu * _eval("q_y", z)
         )
 
     return None, fx, fy
@@ -132,12 +146,12 @@ def _flux_gy(field, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
         gt, y = g(point[0]), point[2]
         return (
             gt * y * z[(1, 1, 0)]
-            + gt * y * z[(0, 0, 0)] * jp_eval(_POLYS["zeta_y"], z)
+            + gt * y * z[(0, 0, 0)] * _eval("zeta_y", z)
             - 0.5 * gt * z[(0, 0, 1)] ** 2
             + gt * z[(0, 0, 0)] * z[(0, 2, 0)]
             - 0.5 * gt * z[(0, 1, 0)] ** 2
             + gt * y * beta * z[(0, 0, 0)]
-            - nu * gt * y * jp_eval(_POLYS["q_x"], z)
+            - nu * gt * y * _eval("q_x", z)
         )
 
     def fy(point):
@@ -146,10 +160,10 @@ def _flux_gy(field, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
         return (
             gt * y * z[(1, 0, 1)]
             - gt * z[(1, 0, 0)]
-            - gt * y * z[(0, 0, 0)] * jp_eval(_POLYS["zeta_x"], z)
+            - gt * y * z[(0, 0, 0)] * _eval("zeta_x", z)
             + gt * z[(0, 0, 0)] * z[(0, 1, 1)]
-            - nu * gt * y * jp_eval(_POLYS["q_y"], z)
-            + nu * gt * jp_eval(_POLYS["q"], z)
+            - nu * gt * y * _eval("q_y", z)
+            + nu * gt * _eval("q", z)
         )
 
     return None, fx, fy
@@ -165,11 +179,11 @@ def _flux_psi(field, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
         psi = z[(0, 0, 0)]
         return (
             psi * z[(1, 1, 0)]
-            + 0.5 * psi**2 * jp_eval(_POLYS["zeta_y"], z)
+            + 0.5 * psi**2 * _eval("zeta_y", z)
             + 0.5 * beta * psi**2
-            - nu * psi * jp_eval(_POLYS["q_x"], z)
-            + nu * z[(0, 1, 0)] * jp_eval(_POLYS["q"], z)
-            - nu * jp_eval(_POLYS["zeta7_x"], z)
+            - nu * psi * _eval("q_x", z)
+            + nu * z[(0, 1, 0)] * _eval("q", z)
+            - nu * _eval("zeta7_x", z)
         )
 
     def fy(point):
@@ -177,27 +191,16 @@ def _flux_psi(field, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
         psi = z[(0, 0, 0)]
         return (
             psi * z[(1, 0, 1)]
-            - 0.5 * psi**2 * jp_eval(_POLYS["zeta_x"], z)
-            - nu * psi * jp_eval(_POLYS["q_y"], z)
-            + nu * z[(0, 0, 1)] * jp_eval(_POLYS["q"], z)
-            - nu * jp_eval(_POLYS["zeta7_y"], z)
+            - 0.5 * psi**2 * _eval("zeta_x", z)
+            - nu * psi * _eval("q_y", z)
+            + nu * z[(0, 0, 1)] * _eval("q", z)
+            - nu * _eval("zeta7_y", z)
         )
 
     return ft, fx, fy
 
 
 _FLUXES = {"f": _flux_f, "gy": _flux_gy, "psi": _flux_psi}
-
-
-def _total_fd(fn, point, direction: int, h: float) -> float:
-    def central(step: float) -> float:
-        plus = list(point)
-        minus = list(point)
-        plus[direction] += step
-        minus[direction] -= step
-        return (fn(tuple(plus)) - fn(tuple(minus))) / (2.0 * step)
-
-    return richardson3((central(h), central(0.5 * h), central(0.25 * h)))
 
 
 def divergence_identity_residual(char: str, field: AnalyticField,
@@ -219,9 +222,10 @@ def divergence_identity_residual(char: str, field: AnalyticField,
 
     ft, fx, fy = _FLUXES[char](field, f, g, nu, beta)
     h = FD_H_SCALE * field.shortest_wavelength()
-    rhs = _total_fd(fx, point, 1, h) + _total_fd(fy, point, 2, h)
+    rhs = (central_difference(fx, point, 1, h)
+           + central_difference(fy, point, 2, h))
     if ft is not None:
-        rhs += _total_fd(ft, point, 0, h)
+        rhs += central_difference(ft, point, 0, h)
     return abs(lhs - rhs) / max(1.0, abs(lhs))
 
 

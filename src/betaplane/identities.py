@@ -91,19 +91,28 @@ def richardson3(samples: tuple[float, float, float]) -> float:
     return (16.0 * r2 - r1) / 15.0
 
 
+def central_difference(fn: Callable[[Point], float], point: Point,
+                       direction: int, h: float) -> float:
+    """d fn / d point[direction]: Richardson over central differences
+    with steps h, h/2 and h/4."""
+
+    def central(step: float) -> float:
+        plus = list(point)
+        minus = list(point)
+        plus[direction] += step
+        minus[direction] -= step
+        return (fn(tuple(plus)) - fn(tuple(minus))) / (2.0 * step)
+
+    return richardson3((central(h), central(0.5 * h), central(0.25 * h)))
+
+
 def _total_fd(field: AnalyticField, expr: InvariantExpression, point: Point,
               direction: int, h: float) -> float:
-    """First total derivative: Richardson over central differences."""
+    """First total derivative of an invariant expression."""
     _check_stencil(
         field, point, [_shift(direction, s) for s in (-h, -0.5 * h, 0.5 * h, h)]
     )
-
-    def central(step: float) -> float:
-        plus = expr(field, _displaced(point, _shift(direction, step)))
-        minus = expr(field, _displaced(point, _shift(direction, -step)))
-        return (plus - minus) / (2.0 * step)
-
-    return richardson3((central(h), central(0.5 * h), central(0.25 * h)))
+    return central_difference(lambda q: expr(field, q), point, direction, h)
 
 
 def _total_fd2(field: AnalyticField, expr: InvariantExpression, point: Point,

@@ -15,9 +15,11 @@ evaluated exactly on jets instead of symbolically.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -33,14 +35,23 @@ class JetOrderError(ValueError):
     """Requested operation needs a higher jet order than available."""
 
 
+@functools.lru_cache(maxsize=MAX_JET_ORDER + 1)
+def _graded_indices(order: int) -> tuple[Alpha, ...]:
+    return tuple(
+        (a1, a2, total - a1 - a2)
+        for total in range(order + 1)
+        for a1 in range(total, -1, -1)
+        for a2 in range(total - a1, -1, -1)
+    )
+
+
 def multi_indices(order: int) -> list[Alpha]:
-    """All alpha with |alpha| <= order, graded-lexicographic."""
-    out = []
-    for total in range(order + 1):
-        for a1 in range(total, -1, -1):
-            for a2 in range(total - a1, -1, -1):
-                out.append((a1, a2, total - a1 - a2))
-    return out
+    """All alpha with |alpha| <= order, graded-lexicographic.
+
+    The order is graded, so the position of alpha is the same in the
+    list of every order that contains it.
+    """
+    return list(_graded_indices(order))
 
 
 @dataclass(frozen=True)
@@ -52,11 +63,18 @@ class Jet:
     values: Mapping[Alpha, float]
 
     def __post_init__(self):
-        for alpha in multi_indices(self.order):
+        for alpha in _graded_indices(self.order):
             if alpha not in self.values:
                 raise ValueError(f"jet is missing entry {alpha}")
         if not all(math.isfinite(v) for v in self.values.values()):
             raise ValueError("jet contains non-finite values")
+
+    @functools.cached_property
+    def vector(self) -> np.ndarray:
+        """psi_alpha in multi_indices(order) order, then a padding 1.0."""
+        values = [self.values[a] for a in _graded_indices(self.order)]
+        values.append(1.0)
+        return np.array(values)
 
     def __getitem__(self, alpha: Alpha) -> float:
         try:
@@ -119,14 +137,32 @@ class AnalyticField:
 
 
 def analytic_jet(field: AnalyticField, point, order: int) -> Jet:
-    """Exact jet of an analytic field; order is capped at MAX_JET_ORDER."""
+    """Exact jet of an analytic field; order is capped at MAX_JET_ORDER.
+
+    Jets are memoised per (field, point, order) in a small LRU cache:
+    the finite-difference stencils of the certification suites revisit
+    the same displaced points many times around one base point. The
+    returned jet's values are read-only, so no caller can alter a
+    cached jet.
+    """
     if order > MAX_JET_ORDER:
         raise JetOrderError(f"jet order {order} exceeds cap {MAX_JET_ORDER}")
-    point = tuple(float(v) for v in point)
+    return _exact_jet(field, tuple(float(v) for v in point), order)
+
+
+# Reuse happens around one base point, which touches a few dozen keys;
+# a larger cache only holds jets that are never asked for again.
+@functools.lru_cache(maxsize=64)
+def _exact_jet(field: AnalyticField, point: tuple[float, float, float],
+               order: int) -> Jet:
     values = {
-        alpha: field.derivative(alpha, point) for alpha in multi_indices(order)
+        alpha: field.derivative(alpha, point) for alpha in _graded_indices(order)
     }
-    return Jet(order=order, point=point, values=values)
+    return Jet(order=order, point=point, values=MappingProxyType(values))
+
+
+analytic_jet.cache_info = _exact_jet.cache_info
+analytic_jet.cache_clear = _exact_jet.cache_clear
 
 
 @dataclass(frozen=True)
@@ -277,6 +313,45 @@ def jp_eval(p: JetPoly, jet: Jet) -> float:
             prod *= jet[alpha]
         total += prod
     return total
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledPoly:
+    """A fixed JetPoly as arrays, evaluated without a per-monomial loop.
+
+    Row m of ``slots`` holds the positions in ``Jet.vector`` of the
+    factors of monomial m, padded with -1 (the vector's trailing 1.0).
+    Row 0 is a zero monomial standing in for jp_eval's initial 0.0.
+    """
+
+    order: int
+    coeffs: np.ndarray
+    slots: np.ndarray
+
+    def evaluate(self, jet: Jet) -> float:
+        """Equal to jp_eval on the source polynomial: the same products,
+        factor by factor, summed in the same sequence (x*1.0 is exact)."""
+        if self.order > jet.order:
+            raise JetOrderError(
+                f"polynomial of order {self.order} needs more than a jet "
+                f"of order {jet.order}"
+            )
+        factors = jet.vector[self.slots.T]
+        prod = self.coeffs.copy()
+        for column in factors:
+            prod *= column
+        return float(np.add.accumulate(prod)[-1])
+
+
+def jp_compile(p: JetPoly) -> CompiledPoly:
+    """Compile a polynomial that is evaluated on many jets."""
+    slot = {alpha: i for i, alpha in enumerate(_graded_indices(MAX_JET_ORDER))}
+    width = max((len(mono) for mono in p), default=0)
+    slots = np.full((len(p) + 1, width), -1, dtype=np.intp)
+    for row, mono in enumerate(p, start=1):
+        slots[row, : len(mono)] = [slot[alpha] for alpha in mono]
+    coeffs = np.array([0.0, *p.values()])
+    return CompiledPoly(order=jp_order(p), coeffs=coeffs, slots=slots)
 
 
 def material_operator(p: JetPoly) -> JetPoly:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import time as _time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -196,12 +197,13 @@ def sample_admissible_point(field: AnalyticField, rng: np.random.Generator,
 
 
 def certify_invariants(path, n_fields: int = 20, n_points: int = 20,
-                       seed: int = 0) -> float:
+                       seed: int = 0, skipped: Counter | None = None) -> float:
     """Residual table for all syzygies, commutators and representations.
 
     Writes CSV rows (identity, seed, point, residual) and returns the
     largest residual over points where the identity's domain conditions
     hold; points that violate them are skipped, not reported as failures.
+    When given, ``skipped`` counts the skipped points per identity.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -216,6 +218,8 @@ def certify_invariants(path, n_fields: int = 20, n_points: int = 20,
                     try:
                         res = check_syzygy(name, field, point)
                     except (DomainConditionError, StencilCrossingError):
+                        if skipped is not None:
+                            skipped[name] += 1
                         continue
                     worst = max(worst, res)
                     writer.writerow([

@@ -6,17 +6,21 @@ from __future__ import annotations
 import csv
 import importlib.metadata
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import betaplane
+from betaplane import run as bp_run
 from betaplane.cli import main
 from betaplane.config import parse_config
+from betaplane.identities import IDENTITIES, DomainConditionError
 from betaplane.run import (
     EXIT_CONFIG,
     EXIT_INSTABILITY,
     EXIT_OK,
+    certify_invariants,
     run_experiment,
 )
 from betaplane.snapshot import read_snapshot
@@ -209,6 +213,31 @@ def test_certify_invariants_subcommand(tmp_path, capsys):
     assert rows[0] == ["identity", "seed", "point", "residual"]
     residuals = [float(r[3]) for r in rows[1:]]
     assert residuals and max(residuals) <= 1e-6
+    skipped_line = capsys.readouterr().out.splitlines()[-1]
+    assert skipped_line.startswith("skipped: ")
+    skipped = int(skipped_line.split()[1])
+    assert len(residuals) + skipped == 3 * 3 * len(IDENTITIES)
+
+
+def test_certify_invariants_counts_skipped_points(tmp_path, monkeypatch):
+    """Every (point, identity) pair is either a data row or one count."""
+    check = bp_run.check_syzygy
+    calls = Counter()
+
+    def every_other_syzygy_4_fails(name, field, point):
+        calls[name] += 1
+        if name == "syzygy_4" and calls[name] % 2:
+            raise DomainConditionError("forced")
+        return check(name, field, point)
+
+    monkeypatch.setattr(bp_run, "check_syzygy", every_other_syzygy_4_fails)
+    skipped = Counter()
+    certify_invariants(tmp_path / "ids.csv", n_fields=2, n_points=2, seed=3,
+                       skipped=skipped)
+    with open(tmp_path / "ids.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert skipped == Counter({"syzygy_4": 2})
+    assert len(rows) + skipped.total() == 2 * 2 * len(IDENTITIES)
 
 
 def test_certify_conservation_subcommand(tmp_path):

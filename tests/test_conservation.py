@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from betaplane import conservation, jets
 from betaplane.conservation import (
     CHARACTERISTICS,
     conservation_budget,
@@ -14,7 +15,16 @@ from betaplane.conservation import (
 )
 from betaplane.dissipation import DissipationSpec
 from betaplane.grid import Grid, RealField
-from betaplane.jets import AnalyticField, TimeFunction
+from betaplane.jets import (
+    AnalyticField,
+    JetOrderError,
+    TimeFunction,
+    analytic_jet,
+    jp_compile,
+    jp_eval,
+    jp_order,
+)
+from betaplane.run import certify_conservation, certify_invariants
 from betaplane.spectral import laplacian
 
 TOL = 1e-6
@@ -89,6 +99,49 @@ def test_vorticity_residual_matches_direct_derivatives():
         )
         got = vorticity_residual(field, point, nu=0.0, beta=beta)
         assert got == pytest.approx(raw, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(conservation._POLYS))
+def test_compiled_flux_polynomials_equal_jp_eval(name):
+    poly = conservation._POLYS[name]
+    compiled = jp_compile(poly)
+    rng = np.random.default_rng(23)
+    for _ in range(4):
+        field = AnalyticField.random(rng)
+        point = tuple(rng.uniform(-3.0, 3.0, size=3))
+        z6 = analytic_jet(field, point, 6)
+        assert compiled.evaluate(z6) == jp_eval(poly, z6)
+        z4 = analytic_jet(field, point, 4)
+        if jp_order(poly) > 4:
+            with pytest.raises(JetOrderError):
+                compiled.evaluate(z4)
+            with pytest.raises(JetOrderError):
+                jp_eval(poly, z4)
+        else:
+            assert compiled.evaluate(z4) == jp_eval(poly, z4)
+
+
+def _certify_bytes(tmp_path, tag):
+    inv = tmp_path / f"{tag}_identities.csv"
+    div = tmp_path / f"{tag}_divergence.csv"
+    bud = tmp_path / f"{tag}_budgets.csv"
+    certify_invariants(inv, n_fields=2, n_points=2, seed=5)
+    certify_conservation(div, bud, n_fields=2, n_points=2, seed=5,
+                         resolutions=(16,))
+    return [p.read_bytes() for p in (inv, div, bud)]
+
+
+def test_certify_tables_independent_of_jet_cache(tmp_path, monkeypatch):
+    """Cold cache, warm cache and the uncached dict-evaluation path all
+    write the same bytes."""
+    analytic_jet.cache_clear()
+    cold = _certify_bytes(tmp_path, "cold")
+    warm = _certify_bytes(tmp_path, "warm")
+    monkeypatch.setattr(jets, "_exact_jet", jets._exact_jet.__wrapped__)
+    monkeypatch.setattr(conservation, "_eval",
+                        lambda name, z: jp_eval(conservation._POLYS[name], z))
+    reference = _certify_bytes(tmp_path, "reference")
+    assert cold == warm == reference
 
 
 # --- grid-level budgets -------------------------------------------------

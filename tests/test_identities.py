@@ -4,6 +4,8 @@ on exact jets."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,13 @@ from betaplane.identities import (
     IDENTITY_IDS,
     DomainConditionError,
     StencilCrossingError,
+    central_difference,
     check_syzygy,
     commutator_value,
     invariant_derivative,
     invariant_function,
     invariant_second_derivative,
+    richardson3,
 )
 from betaplane.jets import AnalyticField
 
@@ -170,3 +174,24 @@ def test_registry_complete():
         "syzygy_6", "commutator_tx", "commutator_ty", "commutator_xy",
         "representation_I011", "representation_I110", "representation_I002",
     }
+
+
+def test_central_difference_is_richardson_of_central_quotients():
+    """The shared helper keeps the exact arithmetic of the quotient
+    (fn(p + s e_d) - fn(p - s e_d)) / 2s at s = h, h/2, h/4, so the
+    certification tables do not change by a bit."""
+
+    def fn(q):
+        return math.sin(q[0]) * q[1] ** 3 + math.exp(q[2])
+
+    point, h = (0.3, -0.7, 0.2), 1.0e-3
+    for d in range(3):
+
+        def quotient(s):
+            plus, minus = list(point), list(point)
+            plus[d] = point[d] + s
+            minus[d] = point[d] - s
+            return (fn(plus) - fn(minus)) / (2.0 * s)
+
+        want = richardson3((quotient(h), quotient(0.5 * h), quotient(0.25 * h)))
+        assert central_difference(fn, point, d, h) == want

@@ -22,6 +22,7 @@ from betaplane.jets import (
     ZETA,
     analytic_jet,
     jp_add,
+    jp_compile,
     jp_coord,
     jp_const,
     jp_eval,
@@ -54,6 +55,12 @@ def test_multi_indices_count():
     assert multi_indices(1) == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
+def test_multi_indices_returns_a_fresh_list():
+    first = multi_indices(2)
+    first.clear()
+    assert len(multi_indices(2)) == math.comb(5, 3)
+
+
 @pytest.mark.parametrize("direction", range(3))
 def test_analytic_derivative_matches_fd(field, direction):
     base = [(0, 0, 0), (1, 0, 0), (0, 1, 1), (0, 2, 0)]
@@ -78,6 +85,28 @@ def test_jet_contains_all_indices(field):
         assert jet[alpha] == field.derivative(alpha, POINT)
     with pytest.raises(JetOrderError):
         jet[(5, 0, 0)]
+
+
+def test_cached_jet_equals_fresh_derivatives(field):
+    analytic_jet.cache_clear()
+    cold = analytic_jet(field, POINT, 5)
+    warm = analytic_jet(field, list(POINT), 5)
+    assert warm is cold
+    fresh = {alpha: field.derivative(alpha, POINT) for alpha in multi_indices(5)}
+    assert dict(cold.values) == fresh
+    assert analytic_jet.cache_info().hits >= 1
+
+
+def test_jet_values_are_read_only(field):
+    jet = analytic_jet(field, POINT, 2)
+    with pytest.raises(TypeError):
+        jet.values[(0, 0, 0)] = 0.0
+    assert jet[(0, 0, 0)] == field.derivative((0, 0, 0), POINT)
+
+
+def test_jet_cache_is_bounded():
+    maxsize = analytic_jet.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 64
 
 
 def test_jet_order_cap(field):
@@ -206,3 +235,24 @@ def test_material_operator_matches_composition(field):
         (0, 0, 1), POINT
     ) * jp_eval(jp_total_derivative(ZETA, 1), jet)
     assert lhs == pytest.approx(rhs, rel=1e-13)
+
+
+def test_compiled_poly_equals_jp_eval(field):
+    """The compiled form is == jp_eval, signed zeros included, for
+    constants, the empty polynomial and mixed-degree products."""
+    jet = analytic_jet(field, POINT, 4)
+    polys = [
+        {},
+        jp_const(2.5),
+        {(): -0.0},
+        jp_coord((0, 1, 0)),
+        jp_pow(jp_add(ZETA, jp_const(-1.0)), 3),
+        jp_mul(zeta_derivative(0, 1, 1), jp_add(jp_coord((1, 0, 0)), ZETA)),
+    ]
+    for p in polys:
+        got = jp_compile(p).evaluate(jet)
+        want = jp_eval(p, jet)
+        assert got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+    with pytest.raises(JetOrderError):
+        jp_compile(zeta_derivative(1, 2, 0)).evaluate(jet)
