@@ -20,7 +20,13 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, generate_initial_condition, parse_config_file
+from .config import (
+    ConfigError,
+    OutputSpec,
+    RunConfig,
+    generate_initial_condition,
+    parse_config_file,
+)
 from .dissipation import VARIANTS, DissipationSpec
 from .invariants import GroupElement
 from .jets import TimeFunction
@@ -80,11 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _out_dir(arg, cfg: RunConfig | None) -> Path:
     if arg is not None:
         return Path(arg)
-    if cfg is not None:
-        return Path(cfg.output.resolved_dir())
-    import os
-
-    return Path(os.environ.get("BETAPLANE_OUT_DIR", "."))
+    output = cfg.output if cfg is not None else OutputSpec()
+    return Path(output.resolved_dir())
 
 
 def main(argv=None) -> int:

@@ -1,9 +1,12 @@
 """Run configuration parsing and seeded initial conditions.
 
 Configurations use INI files (sections grid, model, dissipation, ic,
-output). Parsing is strict: unknown keys and missing required keys are
-collected and reported together. dt may be the literal string "auto",
-which defers to the advective CFL rule at startup.
+output). One key table, ``_SCHEMA``, drives both the parser and the
+manifest echo: it names every key with its converter, in echo order.
+Parsing is strict: unknown keys and missing required keys are collected
+and reported together. A key the file leaves out takes the default of
+its dataclass field. dt may be the literal string "auto", which defers
+to the advective CFL rule at startup.
 """
 
 from __future__ import annotations
@@ -63,11 +66,19 @@ class OutputSpec:
         return os.environ.get("BETAPLANE_OUT_DIR", ".")
 
 
+DEFAULT_NX = 128
+DEFAULT_L = 2.56e5
+DEFAULT_BETA = 1.6e-9
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    grid: Grid
-    beta: float
+    # Everything but steps defaults to the standard decaying-turbulence
+    # setup (128^2 grid, 2.56e5 box, beta = 1.6e-9), so a minimal file
+    # only has to say how long to run.
     steps: int
+    grid: Grid = Grid(DEFAULT_NX, DEFAULT_NX, DEFAULT_L, DEFAULT_L)
+    beta: float = DEFAULT_BETA
     dt: float | None = None  # None means the auto CFL rule
     dissipation: DissipationSpec = DissipationSpec("none")
     raw_gamma: float = 0.1
@@ -97,23 +108,28 @@ class RunConfig:
                            mean_velocity=self.mean_velocity)
 
 
+def _dt(raw: str) -> float | None:
+    return None if raw.strip().lower() == "auto" else float(raw)
+
+
+# section -> key -> converter, in echo order. Section [model] holds the
+# RunConfig fields; every other section is the RunConfig field of its
+# name, and each key is the attribute of that name.
 _SCHEMA = {
-    "grid": {"nx", "ny", "lx", "ly"},
-    "model": {"beta", "dt", "steps", "raw_gamma", "raw_alpha", "mean_velocity"},
-    "dissipation": {"kind", "n", "nu", "K"},
-    "ic": {"shape", "k0", "p", "q", "amplitude", "seed"},
-    "output": {"snapshot_every", "spectrum_every", "out_dir"},
+    "grid": {"nx": int, "ny": int, "lx": float, "ly": float},
+    "model": {"beta": float, "dt": _dt, "steps": int, "raw_gamma": float,
+              "raw_alpha": float, "mean_velocity": float},
+    "dissipation": {"kind": str, "n": int, "nu": float, "K": float},
+    "ic": {"shape": str, "k0": float, "p": float, "q": float,
+           "amplitude": float, "seed": int},
+    "output": {"snapshot_every": int, "spectrum_every": int, "out_dir": str},
 }
-# Everything else defaults to the standard decaying-turbulence setup
-# (128^2 grid, 2.56e5 box, beta = 1.6e-9), so a minimal file only has
-# to say how long to run.
 _REQUIRED = {
     "model": {"steps"},
 }
-
-DEFAULT_NX = 128
-DEFAULT_L = 2.56e5
-DEFAULT_BETA = 1.6e-9
+# where a run writes is not part of the experiment: an echoed config
+# reruns the same bytes wherever it is put
+_NOT_ECHOED = {("output", "out_dir")}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -145,69 +161,53 @@ def parse_config(text: str) -> RunConfig:
             if key not in parser[section]:
                 problems.append(f"missing key {key!r} in [{section}]")
 
-    def take(section, key, convert, default):
-        if section not in parser or key not in parser[section]:
-            return default
-        raw = parser[section][key]
-        try:
-            return convert(raw)
-        except (TypeError, ValueError):
-            problems.append(f"bad value {raw!r} for {key!r} in [{section}]")
-            return default
-
-    nx = take("grid", "nx", int, DEFAULT_NX)
-    ny = take("grid", "ny", int, DEFAULT_NX)
-    lx = take("grid", "lx", float, DEFAULT_L)
-    ly = take("grid", "ly", float, DEFAULT_L)
-
-    def parse_dt(raw: str):
-        if raw.strip().lower() == "auto":
-            return None
-        return float(raw)
-
-    beta = take("model", "beta", float, DEFAULT_BETA)
-    dt = take("model", "dt", parse_dt, None)
-    steps = take("model", "steps", int, 1)
-    raw_gamma = take("model", "raw_gamma", float, 0.1)
-    raw_alpha = take("model", "raw_alpha", float, 0.53)
-    mean_velocity = take("model", "mean_velocity", float, 0.0)
-
-    kind = take("dissipation", "kind", str, "none")
-    n = take("dissipation", "n", int, 2)
-    nu = take("dissipation", "nu", float, 0.0)
-    K = take("dissipation", "K", float, 0.0)
-
-    shape = take("ic", "shape", str, "banded-gaussian")
-    k0 = take("ic", "k0", float, 32.0)
-    p = take("ic", "p", float, 6.0)
-    q = take("ic", "q", float, 18.0)
-    amplitude = take("ic", "amplitude", float, 1.0)
-    seed = take("ic", "seed", int, 0)
-
-    snapshot_every = take("output", "snapshot_every", int, 0)
-    spectrum_every = take("output", "spectrum_every", int, 0)
-    out_dir = take("output", "out_dir", str, "")
+    given: dict[str, dict] = {section: {} for section in _SCHEMA}
+    for section, keys in _SCHEMA.items():
+        for key, convert in keys.items():
+            if section not in parser or key not in parser[section]:
+                continue
+            raw = parser[section][key]
+            try:
+                given[section][key] = convert(raw)
+            except (TypeError, ValueError):
+                problems.append(f"bad value {raw!r} for {key!r} in [{section}]")
 
     if problems:
         raise ConfigError("; ".join(problems))
 
     try:
         return RunConfig(
-            grid=Grid(nx, ny, lx, ly),
-            beta=beta,
-            dt=dt,
-            steps=steps,
-            dissipation=DissipationSpec(kind=kind, n=n, nu=nu, K=K),
-            raw_gamma=raw_gamma,
-            raw_alpha=raw_alpha,
-            mean_velocity=mean_velocity,
-            ic=IcSpec(shape=shape, k0=k0, p=p, q=q, amplitude=amplitude,
-                      seed=seed),
-            output=OutputSpec(snapshot_every=snapshot_every,
-                              spectrum_every=spectrum_every, out_dir=out_dir),
+            grid=replace(RunConfig.grid, **given["grid"]),
+            dissipation=DissipationSpec(**given["dissipation"]),
+            ic=IcSpec(**given["ic"]),
+            output=OutputSpec(**given["output"]),
+            **given["model"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def config_echo(cfg: RunConfig, dt: float) -> str:
+    """The effective configuration as INI text for the run manifest.
+
+    dt is the resolved step and out_dir is left out; floats carry 17
+    significant digits, so parse_config reads the text back to the same
+    run.
+    """
+    cfg = replace(cfg, dt=dt)
+    blocks = []
+    for section, keys in _SCHEMA.items():
+        owner = cfg if section == "model" else getattr(cfg, section)
+        lines = [f"[{section}]"]
+        for key, convert in keys.items():
+            if (section, key) in _NOT_ECHOED:
+                continue
+            value = getattr(owner, key)
+            if convert not in (int, str):
+                value = format(float(value), ".17g")
+            lines.append(f"{key} = {value}")
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)
 
 
 def parse_config_file(path) -> RunConfig:

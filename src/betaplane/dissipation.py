@@ -132,8 +132,4 @@ def closure(spec: DissipationSpec, psi: RealField, psi_x: np.ndarray | None,
     else:  # pragma: no cover - guarded by DissipationSpec
         raise ValueError(spec.kind)
 
-    if not np.all(np.isfinite(d)):
-        raise DissipationOverflowError(
-            f"non-finite output from {spec.kind} closure (nu={nu}, K={K})"
-        )
-    return RealField(grid, d)
+    return RealField(grid, _finite(spec, d))

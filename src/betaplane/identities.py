@@ -72,11 +72,20 @@ def _shift(direction: int, step: float):
     return tuple(s)
 
 
+# psi_x and the operator coefficients are entries of the order-2 jet,
+# which the I_alpha expressions at the same points read from the cache
+def _psi_x(field: AnalyticField, point: Point) -> float:
+    return field.jet(point, 2).values[0, 1, 0]
+
+
+def _sign_psi_x(field: AnalyticField, point: Point) -> float:
+    return math.copysign(1.0, _psi_x(field, point))
+
+
 def _check_stencil(field: AnalyticField, point: Point, offsets) -> None:
-    s0 = math.copysign(1.0, field.derivative((0, 1, 0), point))
+    s0 = _sign_psi_x(field, point)
     for off in offsets:
-        q = _displaced(point, off)
-        if math.copysign(1.0, field.derivative((0, 1, 0), q)) != s0:
+        if _sign_psi_x(field, _displaced(point, off)) != s0:
             raise StencilCrossingError(
                 f"psi_x changes sign within the FD stencil at {point}"
             )
@@ -150,15 +159,14 @@ def _total_fd2(field: AnalyticField, expr: InvariantExpression, point: Point,
 def _operator_coefficients(field: AnalyticField, direction: str, point: Point):
     """Coefficients a_j with D^i = sum_j a_j D_j, and their exact total
     derivatives da[i][j] = D_i a_j at the point."""
-    psi_x = field.derivative((0, 1, 0), point)
+    jet = field.jet(point, 2).values
+    psi_x = jet[0, 1, 0]
     if psi_x == 0.0:
         raise StencilCrossingError(f"psi_x vanishes at {point}")
     eps = math.copysign(1.0, psi_x)
     root = math.sqrt(abs(psi_x))
     # D_i |psi_x|^{1/2} and D_i |psi_x|^{-1/2} via the chain rule
-    dpsi_x = [field.derivative((1, 1, 0), point),
-              field.derivative((0, 2, 0), point),
-              field.derivative((0, 1, 1), point)]
+    dpsi_x = [jet[1, 1, 0], jet[0, 2, 0], jet[0, 1, 1]]
     d_root = [eps * d / (2.0 * root) for d in dpsi_x]
     d_inv_root = [-eps * d / (2.0 * root**3) for d in dpsi_x]
 
@@ -166,10 +174,8 @@ def _operator_coefficients(field: AnalyticField, direction: str, point: Point):
         return [0.0, root, 0.0], [[0.0, d_root[i], 0.0] for i in range(3)]
     if direction == "y":
         return [0.0, 0.0, root], [[0.0, 0.0, d_root[i]] for i in range(3)]
-    psi_y = field.derivative((0, 0, 1), point)
-    dpsi_y = [field.derivative((1, 0, 1), point),
-              field.derivative((0, 1, 1), point),
-              field.derivative((0, 0, 2), point)]
+    psi_y = jet[0, 0, 1]
+    dpsi_y = [jet[1, 0, 1], jet[0, 1, 1], jet[0, 0, 2]]
     a = [1.0 / root, -psi_y / root, 0.0]
     da = [
         [d_inv_root[i], -d_inv_root[i] * psi_y - dpsi_y[i] / root, 0.0]
@@ -222,15 +228,6 @@ def invariant_second_derivative(field: AnalyticField, expr: InvariantExpression,
     return total
 
 
-def derived(expr: InvariantExpression, direction: str) -> InvariantExpression:
-    """D^i_direction of an expression, itself usable as an expression."""
-
-    def out(field: AnalyticField, point: Point) -> float:
-        return invariant_derivative(field, expr, direction, point)
-
-    return out
-
-
 def commutator_value(field: AnalyticField, d1: str, d2: str,
                      expr: InvariantExpression, point: Point,
                      h: float | None = None) -> float:
@@ -261,12 +258,8 @@ _I011 = invariant_function((0, 1, 1))
 _I002 = invariant_function((0, 0, 2))
 
 
-def _sign_psi_x(field: AnalyticField, point: Point) -> float:
-    return math.copysign(1.0, field.derivative((0, 1, 0), point))
-
-
 def _require_positive_branch(identity: str, field, point) -> None:
-    if field.derivative((0, 1, 0), point) < 0.0:
+    if _psi_x(field, point) < 0.0:
         raise DomainConditionError(
             f"{identity} is stated on the branch psi_x > 0; "
             f"psi_x < 0 at {point}"

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, generate_initial_condition
+from .config import RunConfig, config_echo, generate_initial_condition
 from .conservation import (
     CHARACTERISTICS,
     conservation_budget,
@@ -60,45 +60,6 @@ class RunResult:
     steps_completed: int
     out_dir: Path
     dt: float
-
-
-def _config_echo(cfg: RunConfig, dt: float) -> str:
-    """Render the effective configuration back to parseable INI text."""
-    d = cfg.dissipation
-    lines = [
-        "[grid]",
-        f"nx = {cfg.grid.nx}",
-        f"ny = {cfg.grid.ny}",
-        f"lx = {_fmt(cfg.grid.lx)}",
-        f"ly = {_fmt(cfg.grid.ly)}",
-        "",
-        "[model]",
-        f"beta = {_fmt(cfg.beta)}",
-        f"dt = {_fmt(dt)}",
-        f"steps = {cfg.steps}",
-        f"raw_gamma = {_fmt(cfg.raw_gamma)}",
-        f"raw_alpha = {_fmt(cfg.raw_alpha)}",
-        f"mean_velocity = {_fmt(cfg.mean_velocity)}",
-        "",
-        "[dissipation]",
-        f"kind = {d.kind}",
-        f"n = {d.n}",
-        f"nu = {_fmt(d.nu)}",
-        f"K = {_fmt(d.K)}",
-        "",
-        "[ic]",
-        f"shape = {cfg.ic.shape}",
-        f"k0 = {_fmt(cfg.ic.k0)}",
-        f"p = {_fmt(cfg.ic.p)}",
-        f"q = {_fmt(cfg.ic.q)}",
-        f"amplitude = {_fmt(cfg.ic.amplitude)}",
-        f"seed = {cfg.ic.seed}",
-        "",
-        "[output]",
-        f"snapshot_every = {cfg.output.snapshot_every}",
-        f"spectrum_every = {cfg.output.spectrum_every}",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def _write_spectrum_csv(path, psi: RealField) -> None:
@@ -164,7 +125,7 @@ def run_experiment(cfg: RunConfig, out_dir=None) -> RunResult:
                                last_state.psi_curr, last_state.time)
 
     manifest = {
-        "config": _config_echo(cfg, dt),
+        "config": config_echo(cfg, dt),
         "version": __version__,
         "dt": dt,
         "steps_requested": cfg.steps,

@@ -7,6 +7,7 @@ import csv
 import importlib.metadata
 import json
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 import betaplane
 from betaplane import run as bp_run
 from betaplane.cli import main
-from betaplane.config import parse_config
+from betaplane.config import config_echo, parse_config
 from betaplane.identities import IDENTITIES, DomainConditionError
 from betaplane.run import (
     EXIT_CONFIG,
@@ -131,6 +132,74 @@ def test_manifest_round_trip_reproduces_run(config_file, tmp_path):
     assert (out1 / "snapshot_000020.bpf").read_bytes() == (
         out2 / "snapshot_000020.bpf"
     ).read_bytes()
+
+
+# The manifest echo of SMALL_RUN at dt = 0.005, byte for byte: reruns of
+# recorded experiments parse this text, so its format must not drift.
+SMALL_RUN_ECHO = """\
+[grid]
+nx = 32
+ny = 32
+lx = 6.2831853071795862
+ly = 6.2831853071795862
+
+[model]
+beta = 1.5
+dt = 0.0050000000000000001
+steps = 20
+raw_gamma = 0.050000000000000003
+raw_alpha = 0.53000000000000003
+mean_velocity = 0
+
+[dissipation]
+kind = none
+n = 2
+nu = 0
+K = 0
+
+[ic]
+shape = banded-gaussian
+k0 = 4
+p = 6
+q = 18
+amplitude = 1
+seed = 1
+
+[output]
+snapshot_every = 10
+spectrum_every = 10
+"""
+
+
+def test_config_echo_format_is_pinned(config_file, tmp_path):
+    assert config_echo(parse_config(SMALL_RUN), 0.005) == SMALL_RUN_ECHO
+    out = tmp_path / "out"
+    main(["run", str(config_file), "--out-dir", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == SMALL_RUN_ECHO
+
+
+def test_run_resolves_psi0_and_dt_through_module_names(tmp_path, monkeypatch):
+    """perfbench/make_reference.py perturbs its reference runs by patching
+    run.generate_initial_condition and run.auto_dt; run_experiment must
+    take psi0 and the auto step from exactly these names."""
+    generate = bp_run.generate_initial_condition
+    calls = []
+
+    def traced_generate(cfg):
+        calls.append("generate_initial_condition")
+        return generate(cfg)
+
+    def fixed_dt(psi):
+        calls.append("auto_dt")
+        return 0.00125
+
+    monkeypatch.setattr(bp_run, "generate_initial_condition", traced_generate)
+    monkeypatch.setattr(bp_run, "auto_dt", fixed_dt)
+    cfg = replace(parse_config(SMALL_RUN), dt=None, steps=2)
+    result = run_experiment(cfg, out_dir=tmp_path / "out")
+    assert calls == ["generate_initial_condition", "auto_dt"]
+    assert result.dt == 0.00125
 
 
 def test_run_determinism_byte_identical(config_file, tmp_path):
@@ -254,6 +323,15 @@ def test_certify_conservation_subcommand(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["spec", "N", "dE", "dZ", "dGamma", "dM"]
     assert len(rows) == 1 + 2 * 3  # two closures x three resolutions
+
+
+def test_certify_writes_to_env_out_dir(tmp_path, monkeypatch):
+    """Without --out-dir, a command with no config writes to
+    BETAPLANE_OUT_DIR."""
+    monkeypatch.setenv("BETAPLANE_OUT_DIR", str(tmp_path / "env"))
+    rc = main(["certify-conservation", "--fields", "1", "--points", "1"])
+    assert rc == EXIT_OK
+    assert (tmp_path / "env" / "conservation_budgets.csv").exists()
 
 
 def test_snapshot_contents_match_state(config_file, tmp_path):

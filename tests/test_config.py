@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from betaplane.config import (
     ConfigError,
     IcSpec,
     OutputSpec,
+    _SCHEMA,
     RunConfig,
+    config_echo,
     generate_initial_condition,
     parse_config,
 )
@@ -75,6 +79,60 @@ out_dir = /tmp/runs
     assert cfg.ic.seed == 5
     assert cfg.output.snapshot_every == 10
     assert cfg.output.resolved_dir() == "/tmp/runs"
+
+
+EVERY_KEY = """
+[grid]
+nx = 48
+ny = 40
+lx = 7.5
+ly = 3.25
+
+[model]
+beta = 2.5
+dt = 0.0125
+steps = 7
+raw_gamma = 0.07
+raw_alpha = 0.6
+mean_velocity = -0.3
+
+[dissipation]
+kind = invariant_hyper
+n = 3
+nu = 1e-7
+K = 0.25
+
+[ic]
+shape = banded-gaussian
+k0 = 5.5
+p = 4
+q = 20
+amplitude = 0.3
+seed = 9
+
+[output]
+snapshot_every = 3
+spectrum_every = 4
+out_dir = /tmp/runs
+"""
+
+
+def test_echo_round_trips_every_key():
+    cfg = parse_config(EVERY_KEY)
+    defaults = parse_config("[model]\nsteps = 1\n")
+    for section, keys in _SCHEMA.items():
+        for key in keys:
+            if key == "shape":  # banded-gaussian is the only shape
+                continue
+            own = cfg if section == "model" else getattr(cfg, section)
+            base = defaults if section == "model" else getattr(defaults, section)
+            assert getattr(own, key) != getattr(base, key), (section, key)
+
+    rerun = replace(cfg, output=replace(cfg.output, out_dir=""))
+    assert parse_config(config_echo(cfg, cfg.dt)) == rerun
+    # dt = auto echoes the resolved step, which needs all 17 digits
+    auto = replace(cfg, dt=None)
+    assert parse_config(config_echo(auto, 1.0 / 3.0)) == replace(rerun, dt=1.0 / 3.0)
 
 
 def test_dt_auto_literal():
