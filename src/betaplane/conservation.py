@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .jets import (
     jp_compile,
     jp_coord,
     jp_mul,
+    jp_order,
     jp_pow,
     jp_scale,
     jp_total_derivative,
@@ -91,46 +94,56 @@ _L_ORDER = 6
 _FLUX_ORDER = 5
 
 
-@functools.lru_cache(maxsize=1)
-def _compiled_polys() -> dict[str, CompiledPoly]:
-    # Compiled on first use, so importing the module costs no more.
-    return {name: jp_compile(p) for name, p in _POLYS.items()}
+@functools.lru_cache(maxsize=_L_ORDER + 1)
+def _compiled_polys(order: int) -> tuple[tuple[str, ...], CompiledPoly]:
+    """The fixed polynomials a jet of this order carries, compiled
+    together; on first use, so importing the module costs no more."""
+    names = tuple(name for name, p in _POLYS.items() if jp_order(p) <= order)
+    return names, jp_compile(*(_POLYS[name] for name in names))
 
 
-def _eval(name: str, z: Jet) -> float:
-    """jp_eval(_POLYS[name], z), through the compiled form."""
-    return _compiled_polys()[name].evaluate(z)
+# The f, gy and psi fluxes read the same jets at the same stencil points
+# around one base point, about a dozen keys.
+@functools.lru_cache(maxsize=64)
+def _jet_values(field: AnalyticField, point,
+                order: int) -> tuple[Jet, Mapping[str, float]]:
+    """The jet at a point and every fixed polynomial it carries,
+    evaluated in one array pass, == jp_eval(_POLYS[name], jet)."""
+    z = field.jet(point, order)
+    names, compiled = _compiled_polys(order)
+    values = compiled.evaluate(z).tolist()
+    return z, MappingProxyType(dict(zip(names, values)))
 
 
 def vorticity_residual(field: AnalyticField, point, nu: float,
                        beta: float) -> float:
     """L = zeta_t + psi_x zeta_y - psi_y zeta_x + beta psi_x - D at a point."""
-    z = field.jet(tuple(point), _L_ORDER)
+    z, p = _jet_values(field, tuple(point), _L_ORDER)
     return (
-        _eval("advection", z)
+        p["advection"]
         + beta * z[(0, 1, 0)]
-        - nu * _eval("d", z)
+        - nu * p["d"]
     )
 
 
 def _flux_f(field, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
     def fx(point):
-        z = field.jet(point, _FLUX_ORDER)
+        z, p = _jet_values(field, point, _FLUX_ORDER)
         ft = f(point[0])
         return ft * (
             z[(1, 1, 0)]
-            + z[(0, 0, 0)] * _eval("zeta_y", z)
+            + z[(0, 0, 0)] * p["zeta_y"]
             + beta * z[(0, 0, 0)]
-            - nu * _eval("q_x", z)
+            - nu * p["q_x"]
         )
 
     def fy(point):
-        z = field.jet(point, _FLUX_ORDER)
+        z, p = _jet_values(field, point, _FLUX_ORDER)
         ft = f(point[0])
         return ft * (
             z[(1, 0, 1)]
-            - z[(0, 0, 0)] * _eval("zeta_x", z)
-            - nu * _eval("q_y", z)
+            - z[(0, 0, 0)] * p["zeta_x"]
+            - nu * p["q_y"]
         )
 
     return None, fx, fy
@@ -142,28 +155,28 @@ def _flux_gy(field, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
     # absorbs the g*(psi*zeta_x) cross terms exactly (checked
     # symbolically for arbitrary smooth g).
     def fx(point):
-        z = field.jet(point, _FLUX_ORDER)
+        z, p = _jet_values(field, point, _FLUX_ORDER)
         gt, y = g(point[0]), point[2]
         return (
             gt * y * z[(1, 1, 0)]
-            + gt * y * z[(0, 0, 0)] * _eval("zeta_y", z)
+            + gt * y * z[(0, 0, 0)] * p["zeta_y"]
             - 0.5 * gt * z[(0, 0, 1)] ** 2
             + gt * z[(0, 0, 0)] * z[(0, 2, 0)]
             - 0.5 * gt * z[(0, 1, 0)] ** 2
             + gt * y * beta * z[(0, 0, 0)]
-            - nu * gt * y * _eval("q_x", z)
+            - nu * gt * y * p["q_x"]
         )
 
     def fy(point):
-        z = field.jet(point, _FLUX_ORDER)
+        z, p = _jet_values(field, point, _FLUX_ORDER)
         gt, y = g(point[0]), point[2]
         return (
             gt * y * z[(1, 0, 1)]
             - gt * z[(1, 0, 0)]
-            - gt * y * z[(0, 0, 0)] * _eval("zeta_x", z)
+            - gt * y * z[(0, 0, 0)] * p["zeta_x"]
             + gt * z[(0, 0, 0)] * z[(0, 1, 1)]
-            - nu * gt * y * _eval("q_y", z)
-            + nu * gt * _eval("q", z)
+            - nu * gt * y * p["q_y"]
+            + nu * gt * p["q"]
         )
 
     return None, fx, fy
@@ -175,26 +188,26 @@ def _flux_psi(field, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
         return -0.5 * (z[(0, 1, 0)] ** 2 + z[(0, 0, 1)] ** 2)
 
     def fx(point):
-        z = field.jet(point, _FLUX_ORDER)
+        z, p = _jet_values(field, point, _FLUX_ORDER)
         psi = z[(0, 0, 0)]
         return (
             psi * z[(1, 1, 0)]
-            + 0.5 * psi**2 * _eval("zeta_y", z)
+            + 0.5 * psi**2 * p["zeta_y"]
             + 0.5 * beta * psi**2
-            - nu * psi * _eval("q_x", z)
-            + nu * z[(0, 1, 0)] * _eval("q", z)
-            - nu * _eval("zeta7_x", z)
+            - nu * psi * p["q_x"]
+            + nu * z[(0, 1, 0)] * p["q"]
+            - nu * p["zeta7_x"]
         )
 
     def fy(point):
-        z = field.jet(point, _FLUX_ORDER)
+        z, p = _jet_values(field, point, _FLUX_ORDER)
         psi = z[(0, 0, 0)]
         return (
             psi * z[(1, 0, 1)]
-            - 0.5 * psi**2 * _eval("zeta_x", z)
-            - nu * psi * _eval("q_y", z)
-            + nu * z[(0, 0, 1)] * _eval("q", z)
-            - nu * _eval("zeta7_y", z)
+            - 0.5 * psi**2 * p["zeta_x"]
+            - nu * psi * p["q_y"]
+            + nu * z[(0, 0, 1)] * p["q"]
+            - nu * p["zeta7_y"]
         )
 
     return ft, fx, fy

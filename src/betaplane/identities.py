@@ -22,6 +22,7 @@ not, so the syzygy checks reject points with psi_x < 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -115,6 +116,10 @@ def central_difference(fn: Callable[[Point], float], point: Point,
     return richardson3((central(h), central(0.5 * h), central(0.25 * h)))
 
 
+# The identities at one point ask for the same D_j of the same few
+# expressions, a dozen or so keys per point. lru_cache does not store
+# exceptions, so a stencil that crosses psi_x = 0 raises on every call.
+@functools.lru_cache(maxsize=64)
 def _total_fd(field: AnalyticField, expr: InvariantExpression, point: Point,
               direction: int, h: float) -> float:
     """First total derivative of an invariant expression."""

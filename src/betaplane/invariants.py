@@ -19,11 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .jets import (
     Alpha,
     Jet,
     JetPoly,
+    Monomial,
     TimeFunction,
     jp_coord,
     jp_eval,
@@ -205,17 +208,18 @@ def prolong_action(gel: GroupElement, z: Jet) -> Jet:
 # Moving frame and normalized invariants.
 # ---------------------------------------------------------------------------
 
+# The cached polynomials are read-only, so no caller can alter them.
 @lru_cache(maxsize=None)
-def _frame_f_poly(k: int) -> tuple:
+def _frame_f_poly(k: int) -> Mapping[Monomial, float]:
     """(D_t - psi_y D_x)^k psi_y, the jet polynomial behind f^{(k+1)}."""
-    return tuple(material_power(jp_coord((0, 0, 1)), k).items())
+    return MappingProxyType(material_power(jp_coord((0, 0, 1)), k))
 
 
 @lru_cache(maxsize=None)
-def _frame_h_poly(k: int) -> tuple:
+def _frame_h_poly(k: int) -> Mapping[Monomial, float]:
     """-(D_t - psi_y D_x)^k psi, the jet polynomial behind h^{(k)}."""
     p = material_power(jp_coord((0, 0, 0)), k)
-    return tuple((m, -c) for m, c in p.items())
+    return MappingProxyType({m: -c for m, c in p.items()})
 
 
 def moving_frame(z: Jet) -> FrameParameters:
@@ -232,8 +236,8 @@ def moving_frame(z: Jet) -> FrameParameters:
     kmax = z.order - 1
     f_derivs = [-x]
     for k in range(kmax + 1):
-        f_derivs.append(jp_eval(dict(_frame_f_poly(k)), z))
-    h_derivs = [jp_eval(dict(_frame_h_poly(k)), z) for k in range(kmax + 1)]
+        f_derivs.append(jp_eval(_frame_f_poly(k), z))
+    h_derivs = [jp_eval(_frame_h_poly(k), z) for k in range(kmax + 1)]
     return FrameParameters(
         eps1=0.5 * math.log(abs(psi_x)),
         eps2=-t,
@@ -256,8 +260,8 @@ def is_phantom(alpha: Alpha) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _invariant_poly(a1: int, a2: int, a3: int) -> tuple:
-    return tuple(material_power(jp_coord((0, a2, a3)), a1).items())
+def _invariant_poly(a1: int, a2: int, a3: int) -> Mapping[Monomial, float]:
+    return MappingProxyType(material_power(jp_coord((0, a2, a3)), a1))
 
 
 def normalized_invariant(z: Jet, alpha: Alpha) -> float:
@@ -272,7 +276,7 @@ def normalized_invariant(z: Jet, alpha: Alpha) -> float:
         raise SingularFrameError("invariants are singular where psi_x = 0")
     a1, a2, a3 = alpha
     weight = (a2 + a3 - a1 - 3) / 2.0
-    return abs(psi_x) ** weight * jp_eval(dict(_invariant_poly(a1, a2, a3)), z)
+    return abs(psi_x) ** weight * jp_eval(_invariant_poly(a1, a2, a3), z)
 
 
 def JetOrderErrorFor(alpha, order):

@@ -71,10 +71,11 @@ class Jet:
 
     @functools.cached_property
     def vector(self) -> np.ndarray:
-        """psi_alpha in multi_indices(order) order, then a padding 1.0."""
+        """psi_alpha in multi_indices(order) order, then a padding 1.0;
+        read-only."""
         values = [self.values[a] for a in _graded_indices(self.order)]
         values.append(1.0)
-        return np.array(values)
+        return _read_only(np.array(values))
 
     def __getitem__(self, alpha: Alpha) -> float:
         try:
@@ -95,6 +96,14 @@ class AnalyticField:
 
     terms: tuple[tuple[float, float, float, float, float], ...]
 
+    # Fields key the jet caches, so the nested tuple is hashed once.
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash(self.terms)
+
     @classmethod
     def from_terms(cls, terms: Iterable[Iterable[float]]) -> "AnalyticField":
         return cls(tuple(tuple(float(v) for v in t) for t in terms))
@@ -113,6 +122,7 @@ class AnalyticField:
         return cls.from_terms(terms)
 
     def derivative(self, alpha: Alpha, point: tuple[float, float, float]) -> float:
+        """One partial derivative; the scalar reference of analytic_jet."""
         a1, a2, a3 = alpha
         t, x, y = point
         shift = (a1 + a2 + a3) * 0.5 * np.pi
@@ -147,7 +157,34 @@ def analytic_jet(field: AnalyticField, point, order: int) -> Jet:
     """
     if order > MAX_JET_ORDER:
         raise JetOrderError(f"jet order {order} exceeds cap {MAX_JET_ORDER}")
-    return _exact_jet(field, tuple(float(v) for v in point), order)
+    if not (type(point) is tuple and len(point) == 3
+            and type(point[0]) is type(point[1]) is type(point[2]) is float):
+        point = tuple(float(v) for v in point)
+    return _exact_jet(field, point, order)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=MAX_JET_ORDER + 1)
+def _grades(order: int) -> np.ndarray:
+    """|alpha| of each entry of multi_indices(order)."""
+    return _read_only(np.array([sum(a) for a in _graded_indices(order)]))
+
+
+@functools.lru_cache(maxsize=64)
+def _amplitudes(field: AnalyticField, order: int) -> np.ndarray:
+    """amp * om**a1 * ka**a2 * la**a3 per (term, alpha) as derivative
+    forms it, below a zero row that stands in for its initial 0.0."""
+    indices = _graded_indices(order)
+    rows = [[0.0] * len(indices)]
+    rows += [
+        [amp * (om**a1 * ka**a2 * la**a3) for a1, a2, a3 in indices]
+        for amp, om, ka, la, _ in field.terms
+    ]
+    return _read_only(np.array(rows))
 
 
 # Reuse happens around one base point, which touches a few dozen keys;
@@ -155,10 +192,35 @@ def analytic_jet(field: AnalyticField, point, order: int) -> Jet:
 @functools.lru_cache(maxsize=64)
 def _exact_jet(field: AnalyticField, point: tuple[float, float, float],
                order: int) -> Jet:
-    values = {
-        alpha: field.derivative(alpha, point) for alpha in _graded_indices(order)
-    }
-    return Jet(order=order, point=point, values=MappingProxyType(values))
+    """Every derivative of the field at once, == field.derivative.
+
+    A term's sine depends on alpha only through |alpha|, so one math.sin
+    per (term, grade), of derivative's own argument, serves every alpha
+    of that grade. The products are summed over the terms in order by
+    np.add.accumulate, from the zero row as derivative sums from 0.0.
+    """
+    t, x, y = point
+    shifts = [k * 0.5 * np.pi for k in range(order + 1)]
+    sines = [1.0] * len(shifts)  # the zero row's factor
+    sines += [
+        math.sin(om * t + ka * x + la * y + ph + shift)
+        for _, om, ka, la, ph in field.terms
+        for shift in shifts
+    ]
+    sines = np.array(sines).reshape(-1, len(shifts))
+    products = _amplitudes(field, order) * sines.take(_grades(order), axis=1)
+    values = np.add.accumulate(products)[-1]
+    listed = values.tolist()
+    if not all(map(math.isfinite, listed)):
+        raise ValueError("jet contains non-finite values")
+    jet = object.__new__(Jet)
+    # complete by construction, so Jet.__post_init__'s checks are skipped
+    jet.__dict__.update(
+        order=order, point=point,
+        values=MappingProxyType(dict(zip(_graded_indices(order), listed))),
+        vector=_read_only(np.concatenate((values, (1.0,)))),
+    )
+    return jet
 
 
 analytic_jet.cache_info = _exact_jet.cache_info
@@ -305,7 +367,7 @@ def jp_order(p: JetPoly) -> int:
     return max((sum(a) for mono in p for a in mono), default=0)
 
 
-def jp_eval(p: JetPoly, jet: Jet) -> float:
+def jp_eval(p: Mapping[Monomial, float], jet: Jet) -> float:
     total = 0.0
     for mono, c in p.items():
         prod = c
@@ -317,41 +379,48 @@ def jp_eval(p: JetPoly, jet: Jet) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CompiledPoly:
-    """A fixed JetPoly as arrays, evaluated without a per-monomial loop.
+    """Fixed JetPolys as arrays, evaluated together without a
+    per-monomial loop.
 
-    Row m of ``slots`` holds the positions in ``Jet.vector`` of the
-    factors of monomial m, padded with -1 (the vector's trailing 1.0).
-    Row 0 is a zero monomial standing in for jp_eval's initial 0.0.
+    Row p of ``coeffs`` holds the coefficients of polynomial p, and
+    ``slots[k, p, m]`` the position in ``Jet.vector`` of the k-th factor
+    of its monomial m, padded with -1 (the vector's trailing 1.0).
+    Column 0 is a zero monomial standing in for jp_eval's initial 0.0;
+    shorter polynomials end in zero monomials, and adding 0.0 to a sum
+    that started from +0.0 leaves it unchanged.
     """
 
     order: int
     coeffs: np.ndarray
     slots: np.ndarray
 
-    def evaluate(self, jet: Jet) -> float:
-        """Equal to jp_eval on the source polynomial: the same products,
+    def evaluate(self, jet: Jet) -> np.ndarray:
+        """jp_eval of each polynomial, bit for bit: the same products,
         factor by factor, summed in the same sequence (x*1.0 is exact)."""
         if self.order > jet.order:
             raise JetOrderError(
                 f"polynomial of order {self.order} needs more than a jet "
                 f"of order {jet.order}"
             )
-        factors = jet.vector[self.slots.T]
         prod = self.coeffs.copy()
-        for column in factors:
-            prod *= column
-        return float(np.add.accumulate(prod)[-1])
+        for factor in jet.vector[self.slots]:
+            prod *= factor
+        return np.add.accumulate(prod, axis=1)[:, -1]
 
 
-def jp_compile(p: JetPoly) -> CompiledPoly:
-    """Compile a polynomial that is evaluated on many jets."""
+def jp_compile(*polys: JetPoly) -> CompiledPoly:
+    """Compile polynomials that are evaluated together on many jets."""
     slot = {alpha: i for i, alpha in enumerate(_graded_indices(MAX_JET_ORDER))}
-    width = max((len(mono) for mono in p), default=0)
-    slots = np.full((len(p) + 1, width), -1, dtype=np.intp)
-    for row, mono in enumerate(p, start=1):
-        slots[row, : len(mono)] = [slot[alpha] for alpha in mono]
-    coeffs = np.array([0.0, *p.values()])
-    return CompiledPoly(order=jp_order(p), coeffs=coeffs, slots=slots)
+    width = max((len(mono) for p in polys for mono in p), default=0)
+    length = 1 + max(map(len, polys), default=0)
+    coeffs = np.zeros((len(polys), length))
+    slots = np.full((width, len(polys), length), -1, dtype=np.intp)
+    for row, p in enumerate(polys):
+        coeffs[row, 1 : len(p) + 1] = list(p.values())
+        for col, mono in enumerate(p, start=1):
+            slots[: len(mono), row, col] = [slot[alpha] for alpha in mono]
+    order = max(map(jp_order, polys), default=0)
+    return CompiledPoly(order=order, coeffs=coeffs, slots=slots)
 
 
 def material_operator(p: JetPoly) -> JetPoly:

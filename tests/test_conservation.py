@@ -3,10 +3,12 @@ conservation budgets."""
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import numpy as np
 import pytest
 
-from betaplane import conservation, jets
+from betaplane import conservation, identities, jets
 from betaplane.conservation import (
     CHARACTERISTICS,
     conservation_budget,
@@ -17,12 +19,14 @@ from betaplane.dissipation import DissipationSpec
 from betaplane.grid import Grid, RealField
 from betaplane.jets import (
     AnalyticField,
+    Jet,
     JetOrderError,
     TimeFunction,
     analytic_jet,
     jp_compile,
     jp_eval,
     jp_order,
+    multi_indices,
 )
 from betaplane.run import certify_conservation, certify_invariants
 from betaplane.spectral import laplacian
@@ -110,7 +114,7 @@ def test_compiled_flux_polynomials_equal_jp_eval(name):
         field = AnalyticField.random(rng)
         point = tuple(rng.uniform(-3.0, 3.0, size=3))
         z6 = analytic_jet(field, point, 6)
-        assert compiled.evaluate(z6) == jp_eval(poly, z6)
+        assert compiled.evaluate(z6).tolist() == [jp_eval(poly, z6)]
         z4 = analytic_jet(field, point, 4)
         if jp_order(poly) > 4:
             with pytest.raises(JetOrderError):
@@ -118,7 +122,7 @@ def test_compiled_flux_polynomials_equal_jp_eval(name):
             with pytest.raises(JetOrderError):
                 jp_eval(poly, z4)
         else:
-            assert compiled.evaluate(z4) == jp_eval(poly, z4)
+            assert compiled.evaluate(z4).tolist() == [jp_eval(poly, z4)]
 
 
 def _certify_bytes(tmp_path, tag):
@@ -131,17 +135,41 @@ def _certify_bytes(tmp_path, tag):
     return [p.read_bytes() for p in (inv, div, bud)]
 
 
+def _clear_memos():
+    for memo in (analytic_jet, jets._amplitudes, identities._total_fd,
+                 conservation._jet_values):
+        memo.cache_clear()
+
+
+def _jp_eval_values(field, point, order):
+    """The jet and jp_eval of every fixed polynomial it carries, with
+    no memo and no compiled form."""
+    z = field.jet(point, order)
+    return z, {name: jp_eval(poly, z)
+               for name, poly in conservation._POLYS.items()
+               if jp_order(poly) <= order}
+
+
+def _scalar_jet(field, point, order):
+    """The jet from one scalar derivative call per entry."""
+    values = {alpha: field.derivative(alpha, point)
+              for alpha in multi_indices(order)}
+    return Jet(order=order, point=point, values=MappingProxyType(values))
+
+
 def test_certify_tables_independent_of_jet_cache(tmp_path, monkeypatch):
-    """Cold cache, warm cache and the uncached dict-evaluation path all
-    write the same bytes."""
-    analytic_jet.cache_clear()
+    """Cold memos, warm memos, uncached jets with dict evaluation, and
+    scalar jets with no memo at all write the same bytes."""
+    _clear_memos()
     cold = _certify_bytes(tmp_path, "cold")
     warm = _certify_bytes(tmp_path, "warm")
     monkeypatch.setattr(jets, "_exact_jet", jets._exact_jet.__wrapped__)
-    monkeypatch.setattr(conservation, "_eval",
-                        lambda name, z: jp_eval(conservation._POLYS[name], z))
+    monkeypatch.setattr(conservation, "_jet_values", _jp_eval_values)
     reference = _certify_bytes(tmp_path, "reference")
-    assert cold == warm == reference
+    monkeypatch.setattr(jets, "_exact_jet", _scalar_jet)
+    monkeypatch.setattr(identities, "_total_fd", identities._total_fd.__wrapped__)
+    scalar = _certify_bytes(tmp_path, "scalar")
+    assert cold == warm == reference == scalar
 
 
 # --- grid-level budgets -------------------------------------------------

@@ -5,10 +5,12 @@ on exact jets."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from betaplane import identities, run
 from betaplane.identities import (
     IDENTITIES,
     IDENTITY_IDS,
@@ -22,7 +24,7 @@ from betaplane.identities import (
     invariant_second_derivative,
     richardson3,
 )
-from betaplane.jets import AnalyticField
+from betaplane.jets import AnalyticField, analytic_jet
 
 TOL = 1e-6
 
@@ -99,11 +101,9 @@ def test_unknown_identity_name():
         check_syzygy("syzygy_99", field, (0.0, 0.0, 0.0))
 
 
-def test_stencil_crossing_detected():
-    """A point where psi_x ~ 0 puts the FD stencil across the branch cut."""
-    rng = np.random.default_rng(3)
-    field = AnalyticField.random(rng)
-    # bisect psi_x along x between points of opposite sign
+def near_zero_point(field, rng):
+    """A point where psi_x ~ 0, bisected along x between points where
+    psi_x has opposite signs."""
     lo = sample_point(field, rng, sign=-1.0)
     t, _, y = lo
     a = lo[1]
@@ -120,9 +120,51 @@ def test_stencil_crossing_detected():
             a = mid
         else:
             b = mid
-    near_zero = (t, 0.5 * (a + b), y)
-    with pytest.raises((StencilCrossingError, DomainConditionError)):
-        check_syzygy("commutator_xy", field, near_zero)
+    return (t, 0.5 * (a + b), y)
+
+
+def clear_memos():
+    analytic_jet.cache_clear()
+    identities._total_fd.cache_clear()
+
+
+def test_stencil_crossing_detected():
+    """A point where psi_x ~ 0 puts the FD stencil across the branch cut;
+    the error comes again with the memos warm from the first try."""
+    rng = np.random.default_rng(3)
+    field = AnalyticField.random(rng)
+    near_zero = near_zero_point(field, rng)
+    clear_memos()
+    for _ in ("cold", "warm"):
+        with pytest.raises((StencilCrossingError, DomainConditionError)):
+            check_syzygy("commutator_xy", field, near_zero)
+
+
+def test_warm_memo_keeps_skipped_points_skipped(tmp_path, monkeypatch):
+    """A second certify run, on memos that hold the first run's total
+    derivatives, skips the same near-zero points and writes the same
+    bytes: a memo hit never turns a skipped point into a residual row."""
+    admissible = run.sample_admissible_point
+    calls = []
+
+    def admissible_then_near_zero(field, rng):
+        calls.append(field)
+        if len(calls) % 2:
+            return admissible(field, rng)
+        return near_zero_point(field, rng)
+
+    monkeypatch.setattr(run, "sample_admissible_point",
+                        admissible_then_near_zero)
+    clear_memos()
+    tables, skips = [], []
+    for tag in ("cold", "warm"):
+        skipped = Counter()
+        run.certify_invariants(tmp_path / f"{tag}.csv", n_fields=1,
+                               n_points=2, seed=3, skipped=skipped)
+        tables.append((tmp_path / f"{tag}.csv").read_bytes())
+        skips.append(skipped)
+    assert tables[0] == tables[1]
+    assert skips[0] == skips[1] == Counter(dict.fromkeys(IDENTITY_IDS, 1))
 
 
 def test_invariant_derivative_linearity():

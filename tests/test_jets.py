@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betaplane import conservation, identities, jets
 from betaplane.jets import (
     MAX_JET_ORDER,
     AnalyticField,
+    Jet,
     JetOrderError,
     TimeFunction,
     ZETA,
@@ -79,10 +81,38 @@ def test_analytic_derivative_matches_fd(field, direction):
         assert exact == pytest.approx(fd, rel=1e-7, abs=1e-7)
 
 
+def same_float(a: float, b: float) -> bool:
+    """a == b, and of the same sign when both are zero."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 def test_jet_contains_all_indices(field):
+    """Every entry of the array-built jet is the scalar derivative, sign
+    of zero included, for every order, on random fields and fields with
+    negative and zero frequencies, at several points."""
+    rng = np.random.default_rng(7)
+    fields = [field, *(AnalyticField.random(rng, n_terms=n) for n in (1, 3, 5))]
+    fields.append(AnalyticField.from_terms([
+        (-0.8, -1.1, 0.6, -0.4, 2.0), (0.5, 0.0, -0.9, 1.2, -0.3),
+    ]))
+    # one term with a zero frequency: every a_t > 0 entry is 0.0 plus a
+    # signed zero, which derivative returns as +0.0
+    fields.append(AnalyticField.from_terms([(-0.7, 0.0, 0.8, -0.5, 1.0)]))
+    points = [POINT, (0.0, 0.0, 0.0),
+              *(tuple(rng.uniform(-3.0, 3.0, size=3)) for _ in range(3))]
+    analytic_jet.cache_clear()
+    for fld in fields:
+        for point in points:
+            for order in range(MAX_JET_ORDER + 1):
+                jet = analytic_jet(fld, point, order)
+                want = [fld.derivative(alpha, tuple(map(float, point)))
+                        for alpha in multi_indices(order)]
+                got = [jet[alpha] for alpha in multi_indices(order)]
+                assert all(map(same_float, got, want)), (fld, point, order)
+                assert len(jet.values) == len(want)
+                assert jet.vector.tolist() == [*want, 1.0]
+                assert not jet.vector.flags.writeable
     jet = analytic_jet(field, POINT, 4)
-    for alpha in multi_indices(4):
-        assert jet[alpha] == field.derivative(alpha, POINT)
     with pytest.raises(JetOrderError):
         jet[(5, 0, 0)]
 
@@ -102,11 +132,27 @@ def test_jet_values_are_read_only(field):
     with pytest.raises(TypeError):
         jet.values[(0, 0, 0)] = 0.0
     assert jet[(0, 0, 0)] == field.derivative((0, 0, 0), POINT)
+    built = Jet(order=1, point=POINT, values=dict(zip(multi_indices(1),
+                                                      (1.0, 2.0, 3.0, 4.0))))
+    for vector in (jet.vector, built.vector):
+        with pytest.raises(ValueError):
+            vector[0] = 0.0
+    assert built.vector.tolist() == [1.0, 2.0, 3.0, 4.0, 1.0]
 
 
 def test_jet_cache_is_bounded():
-    maxsize = analytic_jet.cache_info().maxsize
-    assert maxsize is not None and maxsize <= 64
+    caches = [analytic_jet, jets._amplitudes, jets._grades,
+              identities._total_fd, conservation._compiled_polys,
+              conservation._jet_values]
+    for cache in caches:
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 64, cache
+
+
+def test_field_hash_is_the_terms_hash(field):
+    twin = AnalyticField.from_terms(field.terms)
+    assert twin == field and twin is not field
+    assert hash(twin) == hash(field) == hash(field.terms)
 
 
 def test_jet_order_cap(field):
@@ -250,9 +296,10 @@ def test_compiled_poly_equals_jp_eval(field):
         jp_mul(zeta_derivative(0, 1, 1), jp_add(jp_coord((1, 0, 0)), ZETA)),
     ]
     for p in polys:
-        got = jp_compile(p).evaluate(jet)
-        want = jp_eval(p, jet)
-        assert got == want
-        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        (got,) = jp_compile(p).evaluate(jet).tolist()
+        assert same_float(got, jp_eval(p, jet))
+    # compiled together, shorter polynomials padded with zero monomials
+    together = jp_compile(*polys).evaluate(jet).tolist()
+    assert all(map(same_float, together, [jp_eval(p, jet) for p in polys]))
     with pytest.raises(JetOrderError):
         jp_compile(zeta_derivative(1, 2, 0)).evaluate(jet)
