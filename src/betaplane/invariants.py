@@ -22,14 +22,25 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
+import numpy as np
+
 from .jets import (
+    MAX_JET_ORDER,
     Alpha,
+    CompiledPoly,
     Jet,
+    JetOrderError,
     JetPoly,
     Monomial,
     TimeFunction,
+    jp_add,
+    jp_compile,
+    jp_const,
     jp_coord,
     jp_eval,
+    jp_mul,
+    jp_scale,
+    jp_total_derivative,
     material_power,
     multi_indices,
 )
@@ -108,81 +119,62 @@ class FrameParameters:
 # Prolonged action: Psi_alpha = e^{w e1}((D_t - f' D_x)^{a1} psi_{0 a2 a3}
 #                                        + correction).
 # The operator power is expanded as a linear combination of jet
-# coordinates whose coefficients are polynomials in f', f'', ...
-# (FPoly: monomials are sorted tuples of derivative orders).
+# coordinates psi_beta whose coefficients are JetPolys in the derivatives
+# of f: f^{(k)} is the jet coordinate (k, 0, 0) of F(t, x, y) = f(t), so
+# D_t on a coefficient is jp_total_derivative(p, 0), and the coefficients
+# are evaluated on the jet of F.
 # ---------------------------------------------------------------------------
 
-FPoly = dict[tuple[int, ...], float]
-LinExpr = dict[Alpha, FPoly]
+_MINUS_F1 = jp_scale(jp_coord((1, 0, 0)), -1.0)
 
 
-def _fp_add(target: FPoly, mono: tuple[int, ...], c: float) -> None:
-    target[mono] = target.get(mono, 0.0) + c
-
-
-def _fp_dt(p: FPoly) -> FPoly:
-    out: FPoly = {}
-    for mono, c in p.items():
-        for i, k in enumerate(mono):
-            bumped = tuple(sorted(mono[:i] + (k + 1,) + mono[i + 1 :]))
-            _fp_add(out, bumped, c)
+def _boost_material_apply(expr: dict[Alpha, JetPoly]) -> dict[Alpha, JetPoly]:
+    """(D_t - f'(t) D_x) acting on sum_beta c_beta(f', f'', ...) psi_beta."""
+    out: dict[Alpha, JetPoly] = {}
+    for (a1, a2, a3), p in expr.items():
+        for beta, q in (
+            ((a1 + 1, a2, a3), p),  # D_t on the jet coordinate
+            ((a1, a2, a3), jp_total_derivative(p, 0)),  # D_t on the coefficient
+            ((a1, a2 + 1, a3), jp_mul(_MINUS_F1, p)),
+        ):
+            out[beta] = jp_add(out.get(beta, {}), q)
     return out
 
 
-def _fp_mul_f1(p: FPoly) -> FPoly:
-    return {tuple(sorted(mono + (1,))): c for mono, c in p.items()}
-
-
-def _fp_eval(p: FPoly, f_derivs) -> float:
-    total = 0.0
-    for mono, c in p.items():
-        prod = c
-        for k in mono:
-            prod *= f_derivs[k]
-        total += prod
-    return total
-
-
-def _boost_material_apply(expr: LinExpr) -> LinExpr:
-    """(D_t - f'(t) D_x) acting on sum_alpha c_alpha(f', f'', ...) psi_alpha."""
-    out: LinExpr = {}
-
-    def add(alpha: Alpha, p: FPoly) -> None:
-        tgt = out.setdefault(alpha, {})
-        for mono, c in p.items():
-            _fp_add(tgt, mono, c)
-
-    for (a1, a2, a3), p in expr.items():
-        add((a1 + 1, a2, a3), p)  # D_t on the jet coordinate
-        add((a1, a2, a3), _fp_dt(p))  # D_t on the coefficient
-        add((a1, a2 + 1, a3), {m: -c for m, c in _fp_mul_f1(p).items()})
-    return {a: {m: c for m, c in p.items() if c != 0.0} for a, p in out.items()}
-
-
-@lru_cache(maxsize=None)
-def _transformed_core(a1: int, a2: int, a3: int) -> tuple:
-    """(D_t - f' D_x)^{a1} psi_{0 a2 a3} as a hashable LinExpr."""
-    expr: LinExpr = {(0, a2, a3): {(): 1.0}}
+def _boost_core(alpha: Alpha) -> dict[Alpha, JetPoly]:
+    """(D_t - f' D_x)^{a1} psi_{0 a2 a3}, sorted by beta and by monomial,
+    with the vanishing coefficients dropped."""
+    a1, a2, a3 = alpha
+    expr = {(0, a2, a3): jp_const(1.0)}
     for _ in range(a1):
         expr = _boost_material_apply(expr)
-    return tuple(
-        (alpha, tuple(sorted(p.items()))) for alpha, p in sorted(expr.items())
-    )
+    return {beta: dict(sorted(p.items())) for beta, p in sorted(expr.items()) if p}
 
 
-def _eval_core(a1: int, a2: int, a3: int, jet: Jet, f_derivs) -> float:
-    total = 0.0
-    for alpha, items in _transformed_core(a1, a2, a3):
-        coeff = _fp_eval(dict(items), f_derivs)
-        if coeff:
-            total += coeff * jet[alpha]
-    return total
+@lru_cache(maxsize=MAX_JET_ORDER + 1)
+def _boost_tables(order: int) -> tuple[CompiledPoly, np.ndarray]:
+    """The boost cores of every alpha of one jet order as arrays.
+
+    The coefficients of all cores are compiled together, in order. Row i
+    of ``slots`` holds the positions in Jet.vector of the psi_beta of the
+    i-th core from column 1 on, and -1 (the vector's trailing 1.0) in
+    column 0 and the padding, whose coefficient 0.0 stands in for the
+    sum's initial 0.0.
+    """
+    indices = multi_indices(order)
+    cores = [_boost_core(alpha) for alpha in indices]
+    slots = np.full((len(cores), 1 + max(map(len, cores))), -1, dtype=np.intp)
+    for row, core in enumerate(cores):
+        slots[row, 1 : len(core) + 1] = [indices.index(beta) for beta in core]
+    return jp_compile(*(p for core in cores for p in core.values())), slots
 
 
 def prolong_action(gel: GroupElement, z: Jet) -> Jet:
     """Transformed jet at the transformed base point, same order."""
     t, x, y = z.point
     r = z.order
+    if r > MAX_JET_ORDER:
+        raise JetOrderError(f"jet order {r} exceeds cap {MAX_JET_ORDER}")
     e1 = gel.eps1
     f_derivs = gel.f.derivative_values(t, r + 1)
     g_derivs = gel.g.derivative_values(t, r)
@@ -191,10 +183,19 @@ def prolong_action(gel: GroupElement, z: Jet) -> Jet:
     X = math.exp(-e1) * (x + f_derivs[0])
     Y = math.exp(-e1) * (y + gel.eps3)
 
+    compiled, slots = _boost_tables(r)
+    f_jet = Jet(order=r, point=z.point, values={
+        alpha: f_derivs[alpha[0]] if alpha[1] == alpha[2] == 0 else 0.0
+        for alpha in multi_indices(r)
+    })
+    coefficients = np.zeros(slots.shape)
+    coefficients[slots >= 0] = compiled.evaluate(f_jet)  # row by row
+    products = coefficients * z.vector[slots]
+    cores = np.add.accumulate(products, axis=1)[:, -1].tolist()
+
     values = {}
-    for alpha in multi_indices(r):
+    for alpha, core in zip(multi_indices(r), cores):
         a1, a2, a3 = alpha
-        core = _eval_core(a1, a2, a3, z, f_derivs)
         if a2 == 0 and a3 == 1:
             core -= f_derivs[a1 + 1]
         elif a2 == 0 and a3 == 0:
@@ -270,19 +271,15 @@ def normalized_invariant(z: Jet, alpha: Alpha) -> float:
     if is_phantom(alpha):
         raise PhantomIndexError(f"{alpha} is a phantom index")
     if sum(alpha) > z.order:
-        raise JetOrderErrorFor(alpha, z.order)
+        raise JetOrderError(
+            f"invariant {alpha} needs jet order {sum(alpha)}, have {z.order}"
+        )
     psi_x = z[(0, 1, 0)]
     if psi_x == 0.0:
         raise SingularFrameError("invariants are singular where psi_x = 0")
     a1, a2, a3 = alpha
     weight = (a2 + a3 - a1 - 3) / 2.0
     return abs(psi_x) ** weight * jp_eval(_invariant_poly(a1, a2, a3), z)
-
-
-def JetOrderErrorFor(alpha, order):
-    from .jets import JetOrderError
-
-    return JetOrderError(f"invariant {alpha} needs jet order {sum(alpha)}, have {order}")
 
 
 def nonphantom_indices(max_order: int) -> list[Alpha]:

@@ -9,8 +9,9 @@ brute-force oracle throughout the verification suites.
 The module also implements differential polynomials on jet coordinates
 (JetPoly): linear combinations of monomials in the psi_alpha with float
 coefficients, closed under total differentiation. They are what lets
-frame parameters, normalized invariants and conservation fluxes be
-evaluated exactly on jets instead of symbolically.
+frame parameters, normalized invariants, the coefficients of the
+prolonged boost and conservation fluxes be evaluated exactly on jets
+instead of symbolically.
 """
 
 from __future__ import annotations
@@ -134,6 +135,11 @@ class AnalyticField:
 
     def shortest_wavelength(self) -> float:
         """2*pi over the largest frequency component, for FD step sizing."""
+        return self._shortest_wavelength
+
+    # The identity and flux checks size every stencil by it.
+    @functools.cached_property
+    def _shortest_wavelength(self) -> float:
         fmax = max(
             (max(abs(om), abs(ka), abs(la)) for _, om, ka, la, _ in self.terms),
             default=0.0,
@@ -444,14 +450,3 @@ PSI_X = jp_coord((0, 1, 0))
 PSI_Y = jp_coord((0, 0, 1))
 ZETA = jp_add(jp_coord((0, 2, 0)), jp_coord((0, 0, 2)))
 
-
-def zeta_derivative(a1: int, a2: int, a3: int) -> JetPoly:
-    """d^{a1+a2+a3} zeta / dt^{a1} dx^{a2} dy^{a3} as a jet polynomial."""
-    p = ZETA
-    for _ in range(a1):
-        p = jp_total_derivative(p, 0)
-    for _ in range(a2):
-        p = jp_total_derivative(p, 1)
-    for _ in range(a3):
-        p = jp_total_derivative(p, 2)
-    return p

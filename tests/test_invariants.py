@@ -3,6 +3,7 @@ differential invariants under the prolonged group action."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from betaplane.invariants import (
     GroupElement,
     PhantomIndexError,
     SingularFrameError,
+    _boost_core,
     compose,
     invariant_representation_residual,
     invariantize,
@@ -22,6 +24,7 @@ from betaplane.invariants import (
     prolong_action,
 )
 from betaplane.jets import (
+    MAX_JET_ORDER,
     AnalyticField,
     Jet,
     JetOrderError,
@@ -104,6 +107,64 @@ def test_action_respects_scaling_weights():
         a1, a2, a3 = alpha
         w = math.exp((a2 + a3 - a1 - 3) * eps1)
         assert z2[alpha] == pytest.approx(w * z[alpha], rel=1e-12, abs=1e-12)
+
+
+def test_boost_core_closed_form():
+    """(D_t - f' D_x)^2 psi = psi_tt - 2 f' psi_tx - f'' psi_x + f'^2 psi_xx,
+    with f^(k) the jet coordinate (k, 0, 0)."""
+    f1, f2 = (1, 0, 0), (2, 0, 0)
+    assert _boost_core((2, 0, 0)) == {
+        (0, 1, 0): {(f2,): -1.0},
+        (0, 2, 0): {(f1, f1): 1.0},
+        (1, 1, 0): {(f1,): -2.0},
+        (2, 0, 0): {(): 1.0},
+    }
+
+
+def prolonged_digest(seed, orders=(3, 5, 6, 8), per_order=25):
+    """sha256 of the float64 point and values of prolonged random jets.
+
+    Every fourth element is the identity, whose boost coefficients are
+    zeros, acting on a jet whose negative entries are -0.0; in the first
+    jet of each order every entry is -0.0, which pins the sign of zero
+    sums."""
+    rng = np.random.default_rng(seed)
+    digest = hashlib.sha256()
+    for order in orders:
+        indices = multi_indices(order)
+        for i in range(per_order):
+            point = tuple(rng.uniform(-2.0, 2.0, size=3).tolist())
+            values = rng.uniform(-1.0, 1.0, size=len(indices)).tolist()
+            if i % 4 == 0:
+                values = [v if v > 0.0 and i else -0.0 for v in values]
+            z = Jet(order=order, point=point, values=dict(zip(indices, values)))
+            gel = random_group_element(rng) if i % 4 else GroupElement.identity()
+            gz = prolong_action(gel, z)
+            packed = np.array(gz.point + tuple(gz[a] for a in indices))
+            digest.update(packed.astype("<f8").tobytes())
+    return digest.hexdigest()
+
+
+# Recorded while the boost coefficients were still expanded by a separate
+# polynomial algebra, so the JetPoly tables must reproduce it bit for bit.
+# It also depends on IEEE float64 arithmetic and on the platform's
+# math.exp and float powers.
+PROLONGED_DIGESTS = {
+    0: "1556017a86e3d5328f2bce7880db3a0ad4fcc87c959b875f23f79be908447dea",
+    1: "3dd07f46ef6505b5752ce89f0c0424ecfbbe042822a5be9ae5e5672514e7a574",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PROLONGED_DIGESTS))
+def test_prolonged_action_bit_identical(seed):
+    assert prolonged_digest(seed) == PROLONGED_DIGESTS[seed]
+
+
+def test_prolong_action_order_cap():
+    indices = multi_indices(MAX_JET_ORDER + 1)
+    z = Jet(order=MAX_JET_ORDER + 1, point=POINT, values=dict.fromkeys(indices, 1.0))
+    with pytest.raises(JetOrderError):
+        prolong_action(GroupElement.identity(), z)
 
 
 def test_moving_frame_normalization_conditions():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betaplane import conservation, identities, jets
+from betaplane import conservation, identities, invariants, jets
 from betaplane.jets import (
     MAX_JET_ORDER,
     AnalyticField,
@@ -34,10 +34,18 @@ from betaplane.jets import (
     jp_total_derivative,
     material_operator,
     multi_indices,
-    zeta_derivative,
 )
 
 POINT = (0.4, -1.1, 0.7)
+
+
+def zeta_derivative(a1, a2, a3):
+    """d^{a1+a2+a3} zeta / dt^{a1} dx^{a2} dy^{a3} as a jet polynomial."""
+    p = ZETA
+    for direction, count in enumerate((a1, a2, a3)):
+        for _ in range(count):
+            p = jp_total_derivative(p, direction)
+    return p
 
 
 @pytest.fixture
@@ -143,7 +151,7 @@ def test_jet_values_are_read_only(field):
 def test_jet_cache_is_bounded():
     caches = [analytic_jet, jets._amplitudes, jets._grades,
               identities._total_fd, conservation._compiled_polys,
-              conservation._jet_values]
+              conservation._jet_values, invariants._boost_tables]
     for cache in caches:
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and maxsize <= 64, cache
@@ -165,6 +173,8 @@ def test_shortest_wavelength(field):
         max(abs(om), abs(ka), abs(la)) for _, om, ka, la, _ in field.terms
     )
     assert field.shortest_wavelength() == pytest.approx(2.0 * np.pi / fmax)
+    # computed once per field and kept on it
+    assert field.shortest_wavelength() is field.shortest_wavelength()
 
 
 # -- TimeFunction -----------------------------------------------------------
