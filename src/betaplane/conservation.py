@@ -25,7 +25,7 @@ import numpy as np
 
 from .dissipation import DissipationSpec, dissipation
 from .grid import RealField
-from .identities import FD_H_SCALE, central_difference
+from .identities import FD_H_SCALE, central_difference, central_points
 from .jets import (
     AnalyticField,
     CompiledPoly,
@@ -33,6 +33,7 @@ from .jets import (
     JetPoly,
     TimeFunction,
     ZETA,
+    analytic_jets,
     jp_add,
     jp_compile,
     jp_coord,
@@ -102,17 +103,43 @@ def _compiled_polys(order: int) -> tuple[tuple[str, ...], CompiledPoly]:
     return names, jp_compile(*(_POLYS[name] for name in names))
 
 
-# The f, gy and psi fluxes read the same jets at the same stencil points
-# around one base point, about a dozen keys.
+def _poly_values(z: Jet) -> Mapping[str, float]:
+    """Every fixed polynomial a jet carries, evaluated in one array
+    pass, == jp_eval(_POLYS[name], z)."""
+    names, compiled = _compiled_polys(z.order)
+    return MappingProxyType(dict(zip(names, compiled.evaluate(z).tolist())))
+
+
+# The f, gy and psi residuals read the same jet at the same base point.
 @functools.lru_cache(maxsize=64)
 def _jet_values(field: AnalyticField, point,
                 order: int) -> tuple[Jet, Mapping[str, float]]:
-    """The jet at a point and every fixed polynomial it carries,
-    evaluated in one array pass, == jp_eval(_POLYS[name], jet)."""
+    """The jet at a point and its _poly_values."""
     z = field.jet(point, order)
-    names, compiled = _compiled_polys(order)
-    values = compiled.evaluate(z).tolist()
-    return z, MappingProxyType(dict(zip(names, values)))
+    return z, _poly_values(z)
+
+
+# The f, gy and psi fluxes read the same stencil around one base point.
+@functools.lru_cache(maxsize=4)
+def _flux_stencil(field: AnalyticField, point, h: float
+                  ) -> Mapping[tuple, tuple]:
+    """The jets of the fluxes' central differences around a base point:
+    of order _FLUX_ORDER with their _poly_values at the x and y stencil
+    points, and of order 1 at the t points, each order built in one
+    pass. A point whose jet is not finite is left out."""
+    xy = [q for d in (1, 2) for q in central_points(point, d, h)]
+    t = central_points(point, 0, h)
+    stencil = {
+        q: (z, _poly_values(z))
+        for q, z in zip(xy, analytic_jets(field, xy, _FLUX_ORDER))
+        if z is not None
+    }
+    stencil.update(
+        (q, (z, None))
+        for q, z in zip(t, analytic_jets(field, t, 1))
+        if z is not None
+    )
+    return MappingProxyType(stencil)
 
 
 def vorticity_residual(field: AnalyticField, point, nu: float,
@@ -126,9 +153,9 @@ def vorticity_residual(field: AnalyticField, point, nu: float,
     )
 
 
-def _flux_f(field, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
+def _flux_f(at, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
     def fx(point):
-        z, p = _jet_values(field, point, _FLUX_ORDER)
+        z, p = at(point, _FLUX_ORDER)
         ft = f(point[0])
         return ft * (
             z[(1, 1, 0)]
@@ -138,7 +165,7 @@ def _flux_f(field, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
         )
 
     def fy(point):
-        z, p = _jet_values(field, point, _FLUX_ORDER)
+        z, p = at(point, _FLUX_ORDER)
         ft = f(point[0])
         return ft * (
             z[(1, 0, 1)]
@@ -149,13 +176,13 @@ def _flux_f(field, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
     return None, fx, fy
 
 
-def _flux_gy(field, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
+def _flux_gy(at, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
     # The x-flux carries g*(psi*psi_xx - psi_x^2/2) and the y-flux
     # -g*psi_t; together with the g*psi*psi_xy term their divergence
     # absorbs the g*(psi*zeta_x) cross terms exactly (checked
     # symbolically for arbitrary smooth g).
     def fx(point):
-        z, p = _jet_values(field, point, _FLUX_ORDER)
+        z, p = at(point, _FLUX_ORDER)
         gt, y = g(point[0]), point[2]
         return (
             gt * y * z[(1, 1, 0)]
@@ -168,7 +195,7 @@ def _flux_gy(field, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
         )
 
     def fy(point):
-        z, p = _jet_values(field, point, _FLUX_ORDER)
+        z, p = at(point, _FLUX_ORDER)
         gt, y = g(point[0]), point[2]
         return (
             gt * y * z[(1, 0, 1)]
@@ -182,13 +209,13 @@ def _flux_gy(field, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
     return None, fx, fy
 
 
-def _flux_psi(field, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
+def _flux_psi(at, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
     def ft(point):
-        z = field.jet(point, 1)
+        z, _ = at(point, 1)
         return -0.5 * (z[(0, 1, 0)] ** 2 + z[(0, 0, 1)] ** 2)
 
     def fx(point):
-        z, p = _jet_values(field, point, _FLUX_ORDER)
+        z, p = at(point, _FLUX_ORDER)
         psi = z[(0, 0, 0)]
         return (
             psi * z[(1, 1, 0)]
@@ -200,7 +227,7 @@ def _flux_psi(field, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
         )
 
     def fy(point):
-        z, p = _jet_values(field, point, _FLUX_ORDER)
+        z, p = at(point, _FLUX_ORDER)
         psi = z[(0, 0, 0)]
         return (
             psi * z[(1, 0, 1)]
@@ -233,8 +260,16 @@ def divergence_identity_residual(char: str, field: AnalyticField,
         lam = field.derivative((0, 0, 0), point)
     lhs = lam * vorticity_residual(field, point, nu, beta)
 
-    ft, fx, fy = _FLUXES[char](field, f, g, nu, beta)
     h = FD_H_SCALE * field.shortest_wavelength()
+    stencil = _flux_stencil(field, point, h)
+
+    def at(q, order: int) -> tuple[Jet, Mapping[str, float] | None]:
+        # a point left out of the stencil has a non-finite jet, and
+        # building it alone raises
+        found = stencil.get(q)
+        return found if found is not None else _jet_values(field, q, order)
+
+    ft, fx, fy = _FLUXES[char](at, f, g, nu, beta)
     rhs = (central_difference(fx, point, 1, h)
            + central_difference(fy, point, 2, h))
     if ft is not None:

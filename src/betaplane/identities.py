@@ -1,7 +1,8 @@
 """Invariant differentiation and the syzygy/commutator certification.
 
-Invariant expressions are callables (field, point) -> float built from
-normalized invariants of exact analytic jets. The operators
+Invariant expressions are callables (neighbourhood, point) -> float
+built from normalized invariants of exact analytic jets, which they read
+from the Neighbourhood of the base point being checked. The operators
 
     D^i_t = (D_t - psi_y D_x)/sqrt|psi_x|,
     D^i_x = sqrt|psi_x| D_x,
@@ -13,6 +14,11 @@ on exact jets at the displaced points. Second-order operators are
 flattened into coefficient functions times first and second total
 derivatives rather than nesting FD inside FD, which keeps the noise of
 the inner differences from being re-divided by the step.
+
+All the checks at one base point read one Neighbourhood record. It
+builds the order-2 jets of every stencil point in one pass, and computes
+the stencil sign verdicts, the operator coefficients, the normalized
+invariants and the first total derivatives at most once.
 
 The printed syzygies hold on the branch psi_x > 0; continuing them to
 psi_x < 0 introduces sgn(psi_x) factors that the commutation relations
@@ -27,10 +33,10 @@ import math
 from typing import Callable
 
 from .invariants import normalized_invariant
-from .jets import Alpha, AnalyticField
+from .jets import Alpha, AnalyticField, Jet, analytic_jets
 
 Point = tuple[float, float, float]
-InvariantExpression = Callable[[AnalyticField, Point], float]
+InvariantExpression = Callable[["Neighbourhood", Point], float]
 
 # Base FD step as a fraction of the field's shortest wavelength. Chosen
 # so the O(h^4) truncation of the Richardson-extrapolated differences
@@ -55,10 +61,9 @@ class DomainConditionError(ValueError):
 def invariant_function(alpha: Alpha) -> InvariantExpression:
     """The normalized invariant I_alpha as an invariant expression."""
     alpha = tuple(alpha)
-    order = sum(alpha)
 
-    def expr(field: AnalyticField, point: Point) -> float:
-        return normalized_invariant(field.jet(point, order), alpha)
+    def expr(nb: Neighbourhood, point: Point) -> float:
+        return nb.invariant(point, alpha)
 
     return expr
 
@@ -73,23 +78,16 @@ def _shift(direction: int, step: float):
     return tuple(s)
 
 
-# psi_x and the operator coefficients are entries of the order-2 jet,
-# which the I_alpha expressions at the same points read from the cache
-def _psi_x(field: AnalyticField, point: Point) -> float:
-    return field.jet(point, 2).values[0, 1, 0]
-
-
-def _sign_psi_x(field: AnalyticField, point: Point) -> float:
-    return math.copysign(1.0, _psi_x(field, point))
-
-
-def _check_stencil(field: AnalyticField, point: Point, offsets) -> None:
-    s0 = _sign_psi_x(field, point)
-    for off in offsets:
-        if _sign_psi_x(field, _displaced(point, off)) != s0:
-            raise StencilCrossingError(
-                f"psi_x changes sign within the FD stencil at {point}"
-            )
+def _stencil_offsets(i: int, j: int, h: float) -> list[Point]:
+    """Where psi_x must keep its sign for d/di (i == j) or d^2/di dj."""
+    if i == j:
+        return [_shift(i, s) for s in (-h, -0.5 * h, 0.5 * h, h)]
+    return [
+        _displaced(_shift(i, si), _shift(j, sj))
+        for s in (h, 0.5 * h)
+        for si in (-s, s)
+        for sj in (-s, s)
+    ]
 
 
 def richardson3(samples: tuple[float, float, float]) -> float:
@@ -101,73 +99,35 @@ def richardson3(samples: tuple[float, float, float]) -> float:
     return (16.0 * r2 - r1) / 15.0
 
 
+def central_points(point: Point, direction: int, h: float) -> list[Point]:
+    """The points central_difference evaluates, in its order: the
+    point displaced by +s and -s along the axis, for s = h, h/2, h/4."""
+    points = []
+    for step in (h, 0.5 * h, 0.25 * h):
+        for s in (step, -step):
+            q = list(point)
+            q[direction] += s
+            points.append(tuple(q))
+    return points
+
+
 def central_difference(fn: Callable[[Point], float], point: Point,
                        direction: int, h: float) -> float:
     """d fn / d point[direction]: Richardson over central differences
     with steps h, h/2 and h/4."""
-
-    def central(step: float) -> float:
-        plus = list(point)
-        minus = list(point)
-        plus[direction] += step
-        minus[direction] -= step
-        return (fn(tuple(plus)) - fn(tuple(minus))) / (2.0 * step)
-
-    return richardson3((central(h), central(0.5 * h), central(0.25 * h)))
+    f = [fn(q) for q in central_points(point, direction, h)]
+    return richardson3(tuple(
+        (f[2 * k] - f[2 * k + 1]) / (2.0 * step)
+        for k, step in enumerate((h, 0.5 * h, 0.25 * h))
+    ))
 
 
-# The identities at one point ask for the same D_j of the same few
-# expressions, a dozen or so keys per point. lru_cache does not store
-# exceptions, so a stencil that crosses psi_x = 0 raises on every call.
-@functools.lru_cache(maxsize=64)
-def _total_fd(field: AnalyticField, expr: InvariantExpression, point: Point,
-              direction: int, h: float) -> float:
-    """First total derivative of an invariant expression."""
-    _check_stencil(
-        field, point, [_shift(direction, s) for s in (-h, -0.5 * h, 0.5 * h, h)]
-    )
-    return central_difference(lambda q: expr(field, q), point, direction, h)
-
-
-def _total_fd2(field: AnalyticField, expr: InvariantExpression, point: Point,
-               i: int, j: int, h: float) -> float:
-    """Second total derivative d^2/di dj, Richardson over central stencils."""
-    if i == j:
-        offsets = [_shift(i, s) for s in (-h, -0.5 * h, 0.5 * h, h)]
-        _check_stencil(field, point, offsets)
-        f0 = expr(field, point)
-
-        def second(step: float) -> float:
-            plus = expr(field, _displaced(point, _shift(i, step)))
-            minus = expr(field, _displaced(point, _shift(i, -step)))
-            return (plus - 2.0 * f0 + minus) / step**2
-
-    else:
-        offsets = [
-            _displaced(_shift(i, si), _shift(j, sj))
-            for s in (h, 0.5 * h)
-            for si in (-s, s)
-            for sj in (-s, s)
-        ]
-        _check_stencil(field, point, offsets)
-
-        def second(step: float) -> float:
-            pp = expr(field, _displaced(point, _displaced(_shift(i, step), _shift(j, step))))
-            pm = expr(field, _displaced(point, _displaced(_shift(i, step), _shift(j, -step))))
-            mp = expr(field, _displaced(point, _displaced(_shift(i, -step), _shift(j, step))))
-            mm = expr(field, _displaced(point, _displaced(_shift(i, -step), _shift(j, -step))))
-            return (pp - pm - mp + mm) / (4.0 * step**2)
-
-    return richardson3((second(h), second(0.5 * h), second(0.25 * h)))
-
-
-def _operator_coefficients(field: AnalyticField, direction: str, point: Point):
+def _operator_coefficients(jet: Jet, direction: str):
     """Coefficients a_j with D^i = sum_j a_j D_j, and their exact total
-    derivatives da[i][j] = D_i a_j at the point."""
-    jet = field.jet(point, 2).values
+    derivatives da[i][j] = D_i a_j at the jet's point."""
     psi_x = jet[0, 1, 0]
     if psi_x == 0.0:
-        raise StencilCrossingError(f"psi_x vanishes at {point}")
+        raise StencilCrossingError(f"psi_x vanishes at {jet.point}")
     eps = math.copysign(1.0, psi_x)
     root = math.sqrt(abs(psi_x))
     # D_i |psi_x|^{1/2} and D_i |psi_x|^{-1/2} via the chain rule
@@ -189,20 +149,190 @@ def _operator_coefficients(field: AnalyticField, direction: str, point: Point):
     return a, da
 
 
+class Neighbourhood:
+    """What the identity checks read around one base point.
+
+    The order-2 jets at the centre, at +-h, +-h/2 and +-h/4 on each axis
+    and at the (t, x) diagonals of the mixed second differences are
+    built in one pass. A point outside that set, or one whose jet is not
+    finite, is built alone by field.jet when read, which raises for a
+    non-finite jet. A crossing stencil's verdict is kept, so every check
+    of it raises; any other error stores nothing and recurs on every
+    call.
+    """
+
+    def __init__(self, field: AnalyticField, point: Point, h: float):
+        self.field = field
+        self.point = point
+        self.h = h
+        steps = (h, 0.5 * h, 0.25 * h)
+        points = [point]
+        points += [q for d in range(3) for q in central_points(point, d, h)]
+        points += [
+            _displaced(point, _displaced(_shift(0, a), _shift(1, b)))
+            for step in steps for a in (step, -step) for b in (step, -step)
+        ]
+        self._jets = dict(zip(points, analytic_jets(field, points, 2)))
+        self._invariants: dict[tuple[Point, Alpha], float] = {}
+        self._crossings: dict[tuple[int, int], bool] = {}
+        self._coefficients: dict[str, tuple] = {}
+        self._first: dict[tuple[InvariantExpression, int], float] = {}
+
+    def jet(self, point: Point) -> Jet:
+        """The order-2 jet at a point."""
+        jet = self._jets.get(point)
+        return jet if jet is not None else self.field.jet(point, 2)
+
+    def psi_x(self, point: Point) -> float:
+        return self.jet(point).values[0, 1, 0]
+
+    def sign(self, point: Point) -> float:
+        return math.copysign(1.0, self.psi_x(point))
+
+    def invariant(self, point: Point, alpha: Alpha) -> float:
+        """The normalized invariant I_alpha at a point."""
+        key = point, alpha
+        value = self._invariants.get(key)
+        if value is None:
+            order = sum(alpha)
+            jet = self.jet(point) if order <= 2 else self.field.jet(point, order)
+            value = self._invariants[key] = normalized_invariant(jet, alpha)
+        return value
+
+    def value(self, expr: InvariantExpression) -> float:
+        """An invariant expression at the base point."""
+        return expr(self, self.point)
+
+    def check_stencil(self, i: int, j: int) -> None:
+        """Raise StencilCrossingError if psi_x changes sign within the
+        stencil of d/di (i == j) or d^2/di dj."""
+        key = i, j
+        if key not in self._crossings:
+            s0 = self.sign(self.point)
+            self._crossings[key] = any(
+                self.sign(_displaced(self.point, off)) != s0
+                for off in _stencil_offsets(i, j, self.h)
+            )
+        if self._crossings[key]:
+            raise StencilCrossingError(
+                f"psi_x changes sign within the FD stencil at {self.point}"
+            )
+
+    def coefficients(self, direction: str):
+        """_operator_coefficients of D^i_direction at the base point."""
+        found = self._coefficients.get(direction)
+        if found is None:
+            found = self._coefficients[direction] = _operator_coefficients(
+                self.jet(self.point), direction
+            )
+        return found
+
+    def total(self, expr: InvariantExpression, direction: int) -> float:
+        """First total derivative of an invariant expression."""
+        key = expr, direction
+        value = self._first.get(key)
+        if value is None:
+            self.check_stencil(direction, direction)
+            value = self._first[key] = central_difference(
+                lambda q: expr(self, q), self.point, direction, self.h
+            )
+        return value
+
+    def total2(self, expr: InvariantExpression, i: int, j: int) -> float:
+        """Second total derivative d^2/di dj, Richardson over central
+        stencils."""
+        self.check_stencil(i, j)
+        point = self.point
+        if i == j:
+            f0 = expr(self, point)
+
+            def second(step: float) -> float:
+                plus = expr(self, _displaced(point, _shift(i, step)))
+                minus = expr(self, _displaced(point, _shift(i, -step)))
+                return (plus - 2.0 * f0 + minus) / step**2
+
+        else:
+
+            def second(step: float) -> float:
+                pp = expr(self, _displaced(point, _displaced(_shift(i, step), _shift(j, step))))
+                pm = expr(self, _displaced(point, _displaced(_shift(i, step), _shift(j, -step))))
+                mp = expr(self, _displaced(point, _displaced(_shift(i, -step), _shift(j, step))))
+                mm = expr(self, _displaced(point, _displaced(_shift(i, -step), _shift(j, -step))))
+                return (pp - pm - mp + mm) / (4.0 * step**2)
+
+        h = self.h
+        return richardson3((second(h), second(0.5 * h), second(0.25 * h)))
+
+    def derivative(self, expr: InvariantExpression, direction: str) -> float:
+        """D^i_direction of an invariant expression."""
+        if direction not in _DIRECTIONS:
+            raise ValueError(
+                f"direction must be one of t, x, y, got {direction!r}"
+            )
+        a, _ = self.coefficients(direction)
+        total = 0.0
+        for j, aj in enumerate(a):
+            if aj:
+                total += aj * self.total(expr, j)
+        return total
+
+    def second_derivative(self, expr: InvariantExpression, d1: str,
+                          d2: str) -> float:
+        """D^i_{d1} D^i_{d2} of an invariant expression, flattened to
+        exact operator coefficients times first and second total
+        derivatives."""
+        a, _ = self.coefficients(d1)
+        b, db = self.coefficients(d2)
+        total = 0.0
+        for i in range(3):
+            if not a[i]:
+                continue
+            for j in range(3):
+                if db[i][j]:
+                    total += a[i] * db[i][j] * self.total(expr, j)
+                if b[j]:
+                    total += a[i] * b[j] * self.total2(expr, i, j)
+        return total
+
+    def commutator(self, d1: str, d2: str, expr: InvariantExpression) -> float:
+        """[D^i_{d1}, D^i_{d2}] of an invariant expression.
+
+        The mixed second total derivatives cancel in the commutator, so
+        only first total derivatives of the expression appear, with
+        exact coefficients a_i D_i b_j - b_i D_i a_j.
+        """
+        a, da = self.coefficients(d1)
+        b, db = self.coefficients(d2)
+        coeff = [
+            sum(a[i] * db[i][j] - b[i] * da[i][j] for i in range(3))
+            for j in range(3)
+        ]
+        total = 0.0
+        for j, cj in enumerate(coeff):
+            if cj:
+                total += cj * self.total(expr, j)
+        return total
+
+
+# check_syzygy reads one record for all the identities at a point, and
+# the public operators revisit a few points at most.
+_neighbourhoods = functools.lru_cache(maxsize=4)(Neighbourhood)
+
+
+def _neighbourhood(field: AnalyticField, point,
+                   h: float | None = None) -> Neighbourhood:
+    """The record of a base point; h defaults to FD_H_SCALE times the
+    field's shortest wavelength."""
+    if h is None:
+        h = FD_H_SCALE * field.shortest_wavelength()
+    return _neighbourhoods(field, tuple(float(v) for v in point), h)
+
+
 def invariant_derivative(field: AnalyticField, expr: InvariantExpression,
                          direction: str, point: Point,
                          h: float | None = None) -> float:
     """Apply D^i_t, D^i_x or D^i_y to an invariant expression at a point."""
-    if direction not in _DIRECTIONS:
-        raise ValueError(f"direction must be one of t, x, y, got {direction!r}")
-    if h is None:
-        h = FD_H_SCALE * field.shortest_wavelength()
-    a, _ = _operator_coefficients(field, direction, point)
-    total = 0.0
-    for j, aj in enumerate(a):
-        if aj:
-            total += aj * _total_fd(field, expr, point, j, h)
-    return total
+    return _neighbourhood(field, point, h).derivative(expr, direction)
 
 
 def invariant_second_derivative(field: AnalyticField, expr: InvariantExpression,
@@ -210,51 +340,14 @@ def invariant_second_derivative(field: AnalyticField, expr: InvariantExpression,
                                 h: float | None = None) -> float:
     """D^i_{d1} D^i_{d2} expr, flattened to exact operator coefficients
     times first and second total derivatives of the expression."""
-    if h is None:
-        h = FD_H_SCALE * field.shortest_wavelength()
-    a, _ = _operator_coefficients(field, d1, point)
-    b, db = _operator_coefficients(field, d2, point)
-    first: dict[int, float] = {}
-
-    def fd1(j: int) -> float:
-        if j not in first:
-            first[j] = _total_fd(field, expr, point, j, h)
-        return first[j]
-
-    total = 0.0
-    for i in range(3):
-        if not a[i]:
-            continue
-        for j in range(3):
-            if db[i][j]:
-                total += a[i] * db[i][j] * fd1(j)
-            if b[j]:
-                total += a[i] * b[j] * _total_fd2(field, expr, point, i, j, h)
-    return total
+    return _neighbourhood(field, point, h).second_derivative(expr, d1, d2)
 
 
 def commutator_value(field: AnalyticField, d1: str, d2: str,
                      expr: InvariantExpression, point: Point,
                      h: float | None = None) -> float:
-    """[D^i_{d1}, D^i_{d2}] expr at the point.
-
-    The mixed second total derivatives cancel in the commutator, so only
-    first total derivatives of the expression appear, with exact
-    coefficients a_i D_i b_j - b_i D_i a_j.
-    """
-    if h is None:
-        h = FD_H_SCALE * field.shortest_wavelength()
-    a, da = _operator_coefficients(field, d1, point)
-    b, db = _operator_coefficients(field, d2, point)
-    coeff = [
-        sum(a[i] * db[i][j] - b[i] * da[i][j] for i in range(3))
-        for j in range(3)
-    ]
-    total = 0.0
-    for j, cj in enumerate(coeff):
-        if cj:
-            total += cj * _total_fd(field, expr, point, j, h)
-    return total
+    """[D^i_{d1}, D^i_{d2}] expr at the point."""
+    return _neighbourhood(field, point, h).commutator(d1, d2, expr)
 
 
 _I110 = invariant_function((1, 1, 0))
@@ -263,94 +356,87 @@ _I011 = invariant_function((0, 1, 1))
 _I002 = invariant_function((0, 0, 2))
 
 
-def _require_positive_branch(identity: str, field, point) -> None:
-    if _psi_x(field, point) < 0.0:
+def _require_positive_branch(identity: str, nb: Neighbourhood) -> None:
+    if nb.psi_x(nb.point) < 0.0:
         raise DomainConditionError(
             f"{identity} is stated on the branch psi_x > 0; "
-            f"psi_x < 0 at {point}"
+            f"psi_x < 0 at {nb.point}"
         )
 
 
 def _product(a: InvariantExpression, b: InvariantExpression) -> InvariantExpression:
-    return lambda field, point: a(field, point) * b(field, point)
+    return lambda nb, point: a(nb, point) * b(nb, point)
 
 
-def _syzygy_1(field, point):
-    lhs = invariant_derivative(field, _I011, "t", point) - invariant_derivative(
-        field, _I110, "y", point
-    )
-    rhs = _I110(field, point) * _I011(field, point) + _I020(field, point) * _I002(
-        field, point
-    )
+# The composite expressions are built once, so the records' first
+# total derivatives of them are found again at every call.
+_I020_I002 = _product(_I020, _I002)
+_I011_I020 = _product(_I011, _I020)
+
+
+def _mixed(nb: Neighbourhood, point: Point) -> float:
+    return 1.5 * _I110(nb, point) * _I011(nb, point) + _I020(nb, point) * _I002(nb, point)
+
+
+def _syzygy_1(nb):
+    lhs = nb.derivative(_I011, "t") - nb.derivative(_I110, "y")
+    rhs = nb.value(_I110) * nb.value(_I011) + nb.value(_I020) * nb.value(_I002)
     return lhs, rhs
 
 
-def _syzygy_2(field, point):
-    lhs = invariant_derivative(field, _I020, "t", point) - invariant_derivative(
-        field, _I110, "x", point
-    )
-    rhs = _I020(field, point) * (_I110(field, point) + _I011(field, point))
+def _syzygy_2(nb):
+    lhs = nb.derivative(_I020, "t") - nb.derivative(_I110, "x")
+    rhs = nb.value(_I020) * (nb.value(_I110) + nb.value(_I011))
     return lhs, rhs
 
 
-def _syzygy_3(field, point):
-    lhs = invariant_derivative(field, _I011, "y", point) - invariant_derivative(
-        field, _I002, "x", point
-    )
-    i020, i002, i011 = _I020(field, point), _I002(field, point), _I011(field, point)
+def _syzygy_3(nb):
+    lhs = nb.derivative(_I011, "y") - nb.derivative(_I002, "x")
+    i020, i002, i011 = nb.value(_I020), nb.value(_I002), nb.value(_I011)
     return lhs, 0.5 * i020 * i002 - 0.5 * i011**2
 
 
-def _syzygy_4(field, point):
-    lhs = invariant_derivative(field, _I011, "x", point) - invariant_derivative(
-        field, _I020, "y", point
-    )
+def _syzygy_4(nb):
+    lhs = nb.derivative(_I011, "x") - nb.derivative(_I020, "y")
     return lhs, 0.0
 
 
-def _syzygy_5(field, point):
-    lhs = invariant_second_derivative(
-        field, _I110, "y", "y", point
-    ) - invariant_second_derivative(field, _I002, "t", "x", point)
-    i011, i002 = _I011(field, point), _I002(field, point)
-    i020 = _I020(field, point)
-
-    def mixed(fld, pt):
-        return 1.5 * _I110(fld, pt) * _I011(fld, pt) + _I020(fld, pt) * _I002(fld, pt)
-
+def _syzygy_5(nb):
+    lhs = nb.second_derivative(_I110, "y", "y") - nb.second_derivative(
+        _I002, "t", "x"
+    )
+    i011, i002 = nb.value(_I011), nb.value(_I002)
+    i020 = nb.value(_I020)
     rhs = (
-        0.5 * (
-            invariant_derivative(field, _product(_I020, _I002), "t", point)
-            - i011 * i020 * i002
-        )
-        - (invariant_derivative(field, mixed, "y", point) + i011 * mixed(field, point))
-        - i011 * invariant_derivative(field, _I110, "y", point)
-        - i002 * invariant_derivative(field, _I020, "y", point)
+        0.5 * (nb.derivative(_I020_I002, "t") - i011 * i020 * i002)
+        - (nb.derivative(_mixed, "y") + i011 * nb.value(_mixed))
+        - i011 * nb.derivative(_I110, "y")
+        - i002 * nb.derivative(_I020, "y")
     )
     return lhs, rhs
 
 
-def _syzygy_6(field, point):
-    lhs = invariant_second_derivative(
-        field, _I020, "y", "y", point
-    ) - invariant_second_derivative(field, _I002, "x", "x", point)
-    rhs = 0.5 * invariant_derivative(
-        field, _product(_I020, _I002), "x", point
-    ) - 0.5 * invariant_derivative(field, _product(_I011, _I020), "y", point)
+def _syzygy_6(nb):
+    lhs = nb.second_derivative(_I020, "y", "y") - nb.second_derivative(
+        _I002, "x", "x"
+    )
+    rhs = 0.5 * nb.derivative(_I020_I002, "x") - 0.5 * nb.derivative(
+        _I011_I020, "y"
+    )
     return lhs, rhs
 
 
 def _commutator_identity(d1: str, d2: str):
     """Commutation relation evaluated on the generator I_020."""
 
-    def check(field, point):
-        eps = _sign_psi_x(field, point)
-        lhs = commutator_value(field, d1, d2, _I020, point)
-        dt = invariant_derivative(field, _I020, "t", point)
-        dx = invariant_derivative(field, _I020, "x", point)
-        dy = invariant_derivative(field, _I020, "y", point)
-        i110, i020 = _I110(field, point), _I020(field, point)
-        i011, i002 = _I011(field, point), _I002(field, point)
+    def check(nb):
+        eps = nb.sign(nb.point)
+        lhs = nb.commutator(d1, d2, _I020)
+        dt = nb.derivative(_I020, "t")
+        dx = nb.derivative(_I020, "x")
+        dy = nb.derivative(_I020, "y")
+        i110, i020 = nb.value(_I110), nb.value(_I020)
+        i011, i002 = nb.value(_I011), nb.value(_I002)
         if (d1, d2) == ("t", "x"):
             rhs = 0.5 * eps * i020 * dt + (i011 + 0.5 * eps * i110) * dx
         elif (d1, d2) == ("t", "y"):
@@ -364,47 +450,47 @@ def _commutator_identity(d1: str, d2: str):
     return check
 
 
-def _require_domain(field, point, threshold: float = 1.0e-6) -> float:
-    denom = invariant_derivative(field, _I020, "x", point)
+def _require_domain(nb, threshold: float = 1.0e-6) -> float:
+    denom = nb.derivative(_I020, "x")
     if abs(denom) < threshold:
         raise DomainConditionError(
-            f"D^i_x I_020 = {denom:.3e} too close to zero at {point}"
+            f"D^i_x I_020 = {denom:.3e} too close to zero at {nb.point}"
         )
     return denom
 
 
-def _rep_i011(field, point):
-    denom = _require_domain(field, point)
-    eps = _sign_psi_x(field, point)
-    i020 = _I020(field, point)
-    dy = invariant_derivative(field, _I020, "y", point)
-    comm_xy = commutator_value(field, "x", "y", _I020, point)
+def _rep_i011(nb):
+    denom = _require_domain(nb)
+    eps = nb.sign(nb.point)
+    i020 = nb.value(_I020)
+    dy = nb.derivative(_I020, "y")
+    comm_xy = nb.commutator("x", "y", _I020)
     rep = (i020 * dy - 2.0 * eps * comm_xy) / denom
-    return rep, _I011(field, point)
+    return rep, nb.value(_I011)
 
 
-def _rep_i110(field, point):
-    denom = _require_domain(field, point)
-    eps = _sign_psi_x(field, point)
-    i020 = _I020(field, point)
-    dt = invariant_derivative(field, _I020, "t", point)
-    comm_tx = commutator_value(field, "t", "x", _I020, point)
-    rep = (2.0 * eps * comm_tx - i020 * dt) / denom - 2.0 * eps * _I011(field, point)
-    return rep, _I110(field, point)
+def _rep_i110(nb):
+    denom = _require_domain(nb)
+    eps = nb.sign(nb.point)
+    i020 = nb.value(_I020)
+    dt = nb.derivative(_I020, "t")
+    comm_tx = nb.commutator("t", "x", _I020)
+    rep = (2.0 * eps * comm_tx - i020 * dt) / denom - 2.0 * eps * nb.value(_I011)
+    return rep, nb.value(_I110)
 
 
-def _rep_i002(field, point):
-    denom = _require_domain(field, point)
-    eps = _sign_psi_x(field, point)
-    dt = invariant_derivative(field, _I020, "t", point)
-    dy = invariant_derivative(field, _I020, "y", point)
-    comm_ty = commutator_value(field, "t", "y", _I020, point)
+def _rep_i002(nb):
+    denom = _require_domain(nb)
+    eps = nb.sign(nb.point)
+    dt = nb.derivative(_I020, "t")
+    dy = nb.derivative(_I020, "y")
+    comm_ty = nb.commutator("t", "y", _I020)
     rep = (
         comm_ty / denom
-        - 0.5 * eps * (dt / denom) * _I011(field, point)
-        - 0.5 * eps * (dy / denom) * _I110(field, point)
+        - 0.5 * eps * (dt / denom) * nb.value(_I011)
+        - 0.5 * eps * (dy / denom) * nb.value(_I110)
     )
-    return rep, _I002(field, point)
+    return rep, nb.value(_I002)
 
 
 IDENTITIES = {
@@ -434,8 +520,8 @@ def check_syzygy(identity: str, field: AnalyticField, point: Point) -> float:
         raise ValueError(
             f"unknown identity {identity!r}; choose from {IDENTITY_IDS}"
         ) from None
-    point = tuple(float(v) for v in point)
+    nb = _neighbourhood(field, point)
     if identity in _BRANCH_SENSITIVE:
-        _require_positive_branch(identity, field, point)
-    lhs, rhs = both(field, point)
+        _require_positive_branch(identity, nb)
+    lhs, rhs = both(nb)
     return abs(lhs - rhs)

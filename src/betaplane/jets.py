@@ -133,6 +133,11 @@ class AnalyticField:
             total += amp * factor * math.sin(om * t + ka * x + la * y + ph + shift)
         return total
 
+    # amp, om, ka, la, ph of the terms as five rows, for _exact_jets
+    @functools.cached_property
+    def _columns(self) -> np.ndarray:
+        return _read_only(np.array(self.terms).reshape(-1, 5).T.copy())
+
     def shortest_wavelength(self) -> float:
         """2*pi over the largest frequency component, for FD step sizing."""
         return self._shortest_wavelength
@@ -155,18 +160,32 @@ class AnalyticField:
 def analytic_jet(field: AnalyticField, point, order: int) -> Jet:
     """Exact jet of an analytic field; order is capped at MAX_JET_ORDER.
 
-    Jets are memoised per (field, point, order) in a small LRU cache:
-    the finite-difference stencils of the certification suites revisit
-    the same displaced points many times around one base point. The
-    returned jet's values are read-only, so no caller can alter a
+    Jets are memoised per (field, point, order) in a small LRU cache.
+    The returned jet's values are read-only, so no caller can alter a
     cached jet.
     """
-    if order > MAX_JET_ORDER:
-        raise JetOrderError(f"jet order {order} exceeds cap {MAX_JET_ORDER}")
+    _check_order(order)
     if not (type(point) is tuple and len(point) == 3
             and type(point[0]) is type(point[1]) is type(point[2]) is float):
         point = tuple(float(v) for v in point)
     return _exact_jet(field, point, order)
+
+
+def analytic_jets(field: AnalyticField, points, order: int) -> list[Jet | None]:
+    """Exact jets at many points, built in one pass and not memoised;
+    None stands for a jet with non-finite entries.
+
+    The finite-difference stencils of the certification suites read
+    jets at a few dozen points around one base point, all known in
+    advance. Points must be tuples of three floats.
+    """
+    _check_order(order)
+    return _exact_jets(field, points, order)
+
+
+def _check_order(order: int) -> None:
+    if order > MAX_JET_ORDER:
+        raise JetOrderError(f"jet order {order} exceeds cap {MAX_JET_ORDER}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -180,17 +199,22 @@ def _grades(order: int) -> np.ndarray:
     return _read_only(np.array([sum(a) for a in _graded_indices(order)]))
 
 
+@functools.lru_cache(maxsize=MAX_JET_ORDER + 1)
+def _shifts(order: int) -> np.ndarray:
+    """derivative's phase shift of each grade 0..order."""
+    return _read_only(np.array([k * 0.5 * np.pi for k in range(order + 1)]))
+
+
 @functools.lru_cache(maxsize=64)
 def _amplitudes(field: AnalyticField, order: int) -> np.ndarray:
     """amp * om**a1 * ka**a2 * la**a3 per (term, alpha) as derivative
-    forms it, below a zero row that stands in for its initial 0.0."""
+    forms it."""
     indices = _graded_indices(order)
-    rows = [[0.0] * len(indices)]
-    rows += [
+    rows = [
         [amp * (om**a1 * ka**a2 * la**a3) for a1, a2, a3 in indices]
         for amp, om, ka, la, _ in field.terms
     ]
-    return _read_only(np.array(rows))
+    return _read_only(np.array(rows).reshape(len(rows), len(indices)))
 
 
 # Reuse happens around one base point, which touches a few dozen keys;
@@ -198,35 +222,51 @@ def _amplitudes(field: AnalyticField, order: int) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _exact_jet(field: AnalyticField, point: tuple[float, float, float],
                order: int) -> Jet:
-    """Every derivative of the field at once, == field.derivative.
+    """The jet at one point: a batch of one."""
+    (jet,) = _exact_jets(field, (point,), order)
+    if jet is None:
+        raise ValueError("jet contains non-finite values")
+    return jet
+
+
+def _exact_jets(field: AnalyticField, points, order: int) -> list[Jet | None]:
+    """Every derivative of the field at every point, == field.derivative;
+    None where an entry is not finite.
 
     A term's sine depends on alpha only through |alpha|, so one math.sin
-    per (term, grade), of derivative's own argument, serves every alpha
-    of that grade. The products are summed over the terms in order by
-    np.add.accumulate, from the zero row as derivative sums from 0.0.
+    per (point, term, grade), of derivative's own argument formed in its
+    order, serves every alpha of that grade. The products are summed
+    over the terms in order by np.add.accumulate.
     """
-    t, x, y = point
-    shifts = [k * 0.5 * np.pi for k in range(order + 1)]
-    sines = [1.0] * len(shifts)  # the zero row's factor
-    sines += [
-        math.sin(om * t + ka * x + la * y + ph + shift)
-        for _, om, ka, la, ph in field.terms
-        for shift in shifts
-    ]
-    sines = np.array(sines).reshape(-1, len(shifts))
-    products = _amplitudes(field, order) * sines.take(_grades(order), axis=1)
-    values = np.add.accumulate(products)[-1]
-    listed = values.tolist()
-    if not all(map(math.isfinite, listed)):
-        raise ValueError("jet contains non-finite values")
-    jet = object.__new__(Jet)
-    # complete by construction, so Jet.__post_init__'s checks are skipped
-    jet.__dict__.update(
-        order=order, point=point,
-        values=MappingProxyType(dict(zip(_graded_indices(order), listed))),
-        vector=_read_only(np.concatenate((values, (1.0,)))),
-    )
-    return jet
+    t, x, y = np.array(points).T[:, :, None]
+    _, om, ka, la, ph = field._columns
+    args = (om * t + ka * x + la * y + ph)[..., None] + _shifts(order)
+    sines = np.array(list(map(math.sin, args.ravel().tolist())))
+    amplitudes = _amplitudes(field, order)
+    # row 0 of each point stays 0.0: derivative sums from 0.0
+    products = np.zeros((len(points), len(amplitudes) + 1, amplitudes.shape[1]))
+    np.multiply(amplitudes, sines.reshape(args.shape).take(_grades(order), axis=2),
+                out=products[:, 1:])
+    values = np.add.accumulate(products, axis=1)[:, -1]
+    vectors = _read_only(np.concatenate(
+        (values, np.ones((len(points), 1))), axis=1))
+    finite = np.isfinite(values).all(axis=1).tolist()
+    indices = _graded_indices(order)
+    jets: list[Jet | None] = []
+    for point, listed, vector, ok in zip(points, values.tolist(), vectors,
+                                         finite):
+        if not ok:
+            jets.append(None)
+            continue
+        jet = object.__new__(Jet)
+        # complete by construction, so Jet.__post_init__'s checks are skipped
+        jet.__dict__.update(
+            order=order, point=point,
+            values=MappingProxyType(dict(zip(indices, listed))),
+            vector=vector,
+        )
+        jets.append(jet)
+    return jets
 
 
 analytic_jet.cache_info = _exact_jet.cache_info

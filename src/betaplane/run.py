@@ -224,15 +224,16 @@ def certify_conservation(identity_path, budget_path, n_fields: int = 20,
                         _fmt(res),
                     ])
 
+    fields = []
+    for n in resolutions:
+        psi = reference_budget_field(Grid(n, n, 2.0 * np.pi, 2.0 * np.pi))
+        fields.append((n, psi, laplacian(psi)))
     with open(budget_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["spec", "N", "dE", "dZ", "dGamma", "dM"])
         for kind in ("conservative_seventh", "conservative_fourth"):
             spec = DissipationSpec(kind, nu=1.0)
-            for n in resolutions:
-                grid = Grid(n, n, 2.0 * np.pi, 2.0 * np.pi)
-                psi = reference_budget_field(grid)
-                zeta = laplacian(psi)
+            for n, psi, zeta in fields:
                 b = conservation_budget(spec, psi, zeta, beta=1.0)
                 writer.writerow([kind, n, _fmt(b.dE), _fmt(b.dZ),
                                  _fmt(b.dGamma), _fmt(b.dM)])

@@ -3,12 +3,13 @@ conservation budgets."""
 
 from __future__ import annotations
 
+from collections import Counter
 from types import MappingProxyType
 
 import numpy as np
 import pytest
 
-from betaplane import conservation, identities, jets
+from betaplane import conservation, identities, jets, run
 from betaplane.conservation import (
     CHARACTERISTICS,
     conservation_budget,
@@ -17,6 +18,7 @@ from betaplane.conservation import (
 )
 from betaplane.dissipation import DissipationSpec
 from betaplane.grid import Grid, RealField
+from betaplane.identities import DomainConditionError, StencilCrossingError
 from betaplane.jets import (
     AnalyticField,
     Jet,
@@ -30,6 +32,7 @@ from betaplane.jets import (
 )
 from betaplane.run import certify_conservation, certify_invariants
 from betaplane.spectral import laplacian
+from test_identities import near_zero_point
 
 TOL = 1e-6
 
@@ -125,51 +128,89 @@ def test_compiled_flux_polynomials_equal_jp_eval(name):
             assert compiled.evaluate(z4).tolist() == [jp_eval(poly, z4)]
 
 
-def _certify_bytes(tmp_path, tag):
+_ADMISSIBLE = run.sample_admissible_point
+
+
+def _certify_bytes(tmp_path, tag, monkeypatch):
+    """The three certify tables, the skipped counts and the errors that
+    skipped them, of a small run whose every other base point of
+    certify_invariants lies where psi_x ~ 0."""
+    calls, raised = [], set()
+
+    def admissible_then_near_zero(field, rng):
+        calls.append(field)
+        if len(calls) % 2:
+            return _ADMISSIBLE(field, rng)
+        return near_zero_point(field, rng)
+
+    def recording_check(name, field, point):
+        try:
+            return identities.check_syzygy(name, field, point)
+        except ValueError as err:
+            raised.add(type(err))
+            raise
+
+    monkeypatch.setattr(run, "sample_admissible_point",
+                        admissible_then_near_zero)
+    monkeypatch.setattr(run, "check_syzygy", recording_check)
     inv = tmp_path / f"{tag}_identities.csv"
     div = tmp_path / f"{tag}_divergence.csv"
     bud = tmp_path / f"{tag}_budgets.csv"
-    certify_invariants(inv, n_fields=2, n_points=2, seed=5)
+    skipped = Counter()
+    certify_invariants(inv, n_fields=2, n_points=2, seed=5, skipped=skipped)
     certify_conservation(div, bud, n_fields=2, n_points=2, seed=5,
                          resolutions=(16,))
-    return [p.read_bytes() for p in (inv, div, bud)]
+    return [p.read_bytes() for p in (inv, div, bud)], skipped, raised
 
 
 def _clear_memos():
-    for memo in (analytic_jet, jets._amplitudes, identities._total_fd,
-                 conservation._jet_values):
+    for memo in (analytic_jet, jets._amplitudes, identities._neighbourhoods,
+                 conservation._jet_values, conservation._flux_stencil):
         memo.cache_clear()
 
 
-def _jp_eval_values(field, point, order):
-    """The jet and jp_eval of every fixed polynomial it carries, with
-    no memo and no compiled form."""
-    z = field.jet(point, order)
-    return z, {name: jp_eval(poly, z)
-               for name, poly in conservation._POLYS.items()
-               if jp_order(poly) <= order}
+def _jp_eval_values(z):
+    """jp_eval of every fixed polynomial a jet carries, with no
+    compiled form."""
+    return {name: jp_eval(poly, z)
+            for name, poly in conservation._POLYS.items()
+            if jp_order(poly) <= z.order}
 
 
-def _scalar_jet(field, point, order):
-    """The jet from one scalar derivative call per entry."""
-    values = {alpha: field.derivative(alpha, point)
-              for alpha in multi_indices(order)}
-    return Jet(order=order, point=point, values=MappingProxyType(values))
+def _scalar_jets(field, points, order):
+    """The jets from one scalar derivative call per entry."""
+    return [
+        Jet(order=order, point=point, values=MappingProxyType({
+            alpha: field.derivative(alpha, point)
+            for alpha in multi_indices(order)
+        }))
+        for point in points
+    ]
 
 
 def test_certify_tables_independent_of_jet_cache(tmp_path, monkeypatch):
-    """Cold memos, warm memos, uncached jets with dict evaluation, and
-    scalar jets with no memo at all write the same bytes."""
+    """Cold memos, warm memos, uncached jets and records with dict
+    evaluation, and scalar jets write the same bytes and skip the same
+    points, for both reasons a point is skipped. The scalar jets reach
+    every jet the tables read: the array builder never runs."""
     _clear_memos()
-    cold = _certify_bytes(tmp_path, "cold")
-    warm = _certify_bytes(tmp_path, "warm")
+    cold = _certify_bytes(tmp_path, "cold", monkeypatch)
+    warm = _certify_bytes(tmp_path, "warm", monkeypatch)
+    for name in ("_jet_values", "_flux_stencil"):
+        memo = getattr(conservation, name)
+        monkeypatch.setattr(conservation, name, memo.__wrapped__)
     monkeypatch.setattr(jets, "_exact_jet", jets._exact_jet.__wrapped__)
-    monkeypatch.setattr(conservation, "_jet_values", _jp_eval_values)
-    reference = _certify_bytes(tmp_path, "reference")
-    monkeypatch.setattr(jets, "_exact_jet", _scalar_jet)
-    monkeypatch.setattr(identities, "_total_fd", identities._total_fd.__wrapped__)
-    scalar = _certify_bytes(tmp_path, "scalar")
+    monkeypatch.setattr(identities, "_neighbourhoods", identities.Neighbourhood)
+    monkeypatch.setattr(conservation, "_poly_values", _jp_eval_values)
+    reference = _certify_bytes(tmp_path, "reference", monkeypatch)
+    monkeypatch.setattr(jets, "_exact_jets", _scalar_jets)
+    jets._amplitudes.cache_clear()
+    scalar = _certify_bytes(tmp_path, "scalar", monkeypatch)
+    assert jets._amplitudes.cache_info()[:2] == (0, 0)
     assert cold == warm == reference == scalar
+    skipped, raised = cold[1:]
+    assert raised == {StencilCrossingError, DomainConditionError}
+    assert skipped.total() > 0
 
 
 # --- grid-level budgets -------------------------------------------------

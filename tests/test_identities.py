@@ -125,7 +125,7 @@ def near_zero_point(field, rng):
 
 def clear_memos():
     analytic_jet.cache_clear()
-    identities._total_fd.cache_clear()
+    identities._neighbourhoods.cache_clear()
 
 
 def test_stencil_crossing_detected():
@@ -138,6 +138,25 @@ def test_stencil_crossing_detected():
     for _ in ("cold", "warm"):
         with pytest.raises((StencilCrossingError, DomainConditionError)):
             check_syzygy("commutator_xy", field, near_zero)
+
+
+@pytest.mark.parametrize("terms, error, match", [
+    # psi_x is 0.0 everywhere: the operator coefficients do not exist
+    ([(1.0, 0.5, 0.0, 0.7, 0.3)], StencilCrossingError, "vanishes"),
+    # psi overflows around x = pi/2: the jets there are not finite
+    ([(1.0e308, 0.0, 1.0, 0.0, 0.0)] * 2, ValueError, "non-finite"),
+])
+def test_errors_recur_on_a_warm_record(terms, error, match):
+    """An error met at a base point is raised by every check there, the
+    first with a fresh record and the next with the record warm."""
+    field = AnalyticField.from_terms(terms)
+    point = (0.0, 0.5 * math.pi, 0.0)
+    clear_memos()
+    with np.errstate(over="ignore"):
+        for _ in ("cold", "warm"):
+            for identity in ("commutator_tx", "representation_I002"):
+                with pytest.raises(error, match=match):
+                    check_syzygy(identity, field, point)
 
 
 def test_warm_memo_keeps_skipped_points_skipped(tmp_path, monkeypatch):

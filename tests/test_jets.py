@@ -23,6 +23,7 @@ from betaplane.jets import (
     TimeFunction,
     ZETA,
     analytic_jet,
+    analytic_jets,
     jp_add,
     jp_compile,
     jp_coord,
@@ -94,10 +95,9 @@ def same_float(a: float, b: float) -> bool:
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
-def test_jet_contains_all_indices(field):
-    """Every entry of the array-built jet is the scalar derivative, sign
-    of zero included, for every order, on random fields and fields with
-    negative and zero frequencies, at several points."""
+def derivative_test_fields(field):
+    """Random fields of 1-5 terms and fields with negative and zero
+    frequencies, at points that include the origin."""
     rng = np.random.default_rng(7)
     fields = [field, *(AnalyticField.random(rng, n_terms=n) for n in (1, 3, 5))]
     fields.append(AnalyticField.from_terms([
@@ -108,6 +108,14 @@ def test_jet_contains_all_indices(field):
     fields.append(AnalyticField.from_terms([(-0.7, 0.0, 0.8, -0.5, 1.0)]))
     points = [POINT, (0.0, 0.0, 0.0),
               *(tuple(rng.uniform(-3.0, 3.0, size=3)) for _ in range(3))]
+    return fields, points
+
+
+def test_jet_contains_all_indices(field):
+    """Every entry of the array-built jet is the scalar derivative, sign
+    of zero included, for every order, on random fields and fields with
+    negative and zero frequencies, at several points."""
+    fields, points = derivative_test_fields(field)
     analytic_jet.cache_clear()
     for fld in fields:
         for point in points:
@@ -123,6 +131,42 @@ def test_jet_contains_all_indices(field):
     jet = analytic_jet(field, POINT, 4)
     with pytest.raises(JetOrderError):
         jet[(5, 0, 0)]
+
+
+def test_batch_jets_equal_single_jets(field):
+    """A jet built in a batch equals analytic_jet at its point bit for
+    bit, in a batch of many points, one with a repeated point and a
+    batch of one."""
+    fields, points = derivative_test_fields(field)
+    points = [tuple(map(float, p)) for p in points]
+    batches = [points, [points[2], points[0], points[2]], points[3:4]]
+    for fld in fields:
+        for order in range(MAX_JET_ORDER + 1):
+            for batch in batches:
+                built = analytic_jets(fld, batch, order)
+                assert len(built) == len(batch)
+                for point, jet in zip(batch, built):
+                    single = analytic_jet(fld, point, order)
+                    assert jet.point == point and jet.order == order
+                    assert np.array_equal(jet.vector, single.vector)
+                    assert all(map(same_float, jet.values.values(),
+                                   single.values.values()))
+                    assert list(jet.values) == list(single.values)
+                    assert not jet.vector.flags.writeable
+
+
+def test_batch_marks_non_finite_jets():
+    """A jet whose sum overflows is None in a batch, at its own point
+    only, and analytic_jet raises for it."""
+    twice = AnalyticField.from_terms([(1.0e308, 0.0, 1.0, 0.0, 0.0)] * 2)
+    peak, low = (0.0, 0.5 * math.pi, 0.0), (0.0, 0.1, 0.0)
+    with np.errstate(over="ignore"):
+        at_peak, at_low = analytic_jets(twice, [peak, low], 0)
+    assert at_peak is None
+    assert at_low[(0, 0, 0)] == twice.derivative((0, 0, 0), low)
+    with pytest.raises(ValueError, match="non-finite"), \
+            np.errstate(over="ignore"):
+        analytic_jet(twice, peak, 0)
 
 
 def test_cached_jet_equals_fresh_derivatives(field):
@@ -149,9 +193,10 @@ def test_jet_values_are_read_only(field):
 
 
 def test_jet_cache_is_bounded():
-    caches = [analytic_jet, jets._amplitudes, jets._grades,
-              identities._total_fd, conservation._compiled_polys,
-              conservation._jet_values, invariants._boost_tables]
+    caches = [analytic_jet, jets._amplitudes, jets._grades, jets._shifts,
+              identities._neighbourhoods, conservation._compiled_polys,
+              conservation._jet_values, conservation._flux_stencil,
+              invariants._boost_tables]
     for cache in caches:
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and maxsize <= 64, cache
