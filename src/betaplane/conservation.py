@@ -110,23 +110,18 @@ def _poly_values(z: Jet) -> Mapping[str, float]:
     return MappingProxyType(dict(zip(names, compiled.evaluate(z).tolist())))
 
 
-# The f, gy and psi residuals read the same jet at the same base point.
-@functools.lru_cache(maxsize=64)
-def _jet_values(field: AnalyticField, point,
-                order: int) -> tuple[Jet, Mapping[str, float]]:
-    """The jet at a point and its _poly_values."""
-    z = field.jet(point, order)
-    return z, _poly_values(z)
-
-
-# The f, gy and psi fluxes read the same stencil around one base point.
+# The f, gy and psi residuals read the same jets around one base point.
 @functools.lru_cache(maxsize=4)
 def _flux_stencil(field: AnalyticField, point, h: float
-                  ) -> Mapping[tuple, tuple]:
-    """The jets of the fluxes' central differences around a base point:
-    of order _FLUX_ORDER with their _poly_values at the x and y stencil
-    points, and of order 1 at the t points, each order built in one
-    pass. A point whose jet is not finite is left out."""
+                  ) -> tuple[tuple | None, Mapping[tuple, tuple]]:
+    """The jets the residuals at a base point read, each order built in
+    one pass: of order _L_ORDER at the point itself and of order
+    _FLUX_ORDER at the x and y points of the fluxes' central
+    differences, each with its _poly_values, and of order 1 at the t
+    points. A jet that is not finite is left out: the centre is None
+    and a stencil point is missing."""
+    (z,) = analytic_jets(field, [point], _L_ORDER)
+    centre = None if z is None else (z, _poly_values(z))
     xy = [q for d in (1, 2) for q in central_points(point, d, h)]
     t = central_points(point, 0, h)
     stencil = {
@@ -139,13 +134,22 @@ def _flux_stencil(field: AnalyticField, point, h: float
         for q, z in zip(t, analytic_jets(field, t, 1))
         if z is not None
     )
-    return MappingProxyType(stencil)
+    return centre, MappingProxyType(stencil)
+
+
+def _finite(entry: tuple | None) -> tuple:
+    """A record entry; the record leaves out a non-finite jet."""
+    if entry is None:
+        raise ValueError("jet contains non-finite values")
+    return entry
 
 
 def vorticity_residual(field: AnalyticField, point, nu: float,
                        beta: float) -> float:
     """L = zeta_t + psi_x zeta_y - psi_y zeta_x + beta psi_x - D at a point."""
-    z, p = _jet_values(field, tuple(point), _L_ORDER)
+    h = FD_H_SCALE * field.shortest_wavelength()
+    centre, _ = _flux_stencil(field, tuple(float(v) for v in point), h)
+    z, p = _finite(centre)
     return (
         p["advection"]
         + beta * z[(0, 1, 0)]
@@ -155,7 +159,7 @@ def vorticity_residual(field: AnalyticField, point, nu: float,
 
 def _flux_f(at, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
     def fx(point):
-        z, p = at(point, _FLUX_ORDER)
+        z, p = at(point)
         ft = f(point[0])
         return ft * (
             z[(1, 1, 0)]
@@ -165,7 +169,7 @@ def _flux_f(at, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
         )
 
     def fy(point):
-        z, p = at(point, _FLUX_ORDER)
+        z, p = at(point)
         ft = f(point[0])
         return ft * (
             z[(1, 0, 1)]
@@ -182,7 +186,7 @@ def _flux_gy(at, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
     # absorbs the g*(psi*zeta_x) cross terms exactly (checked
     # symbolically for arbitrary smooth g).
     def fx(point):
-        z, p = at(point, _FLUX_ORDER)
+        z, p = at(point)
         gt, y = g(point[0]), point[2]
         return (
             gt * y * z[(1, 1, 0)]
@@ -195,7 +199,7 @@ def _flux_gy(at, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
         )
 
     def fy(point):
-        z, p = at(point, _FLUX_ORDER)
+        z, p = at(point)
         gt, y = g(point[0]), point[2]
         return (
             gt * y * z[(1, 0, 1)]
@@ -211,11 +215,11 @@ def _flux_gy(at, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
 
 def _flux_psi(at, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
     def ft(point):
-        z, _ = at(point, 1)
+        z, _ = at(point)
         return -0.5 * (z[(0, 1, 0)] ** 2 + z[(0, 0, 1)] ** 2)
 
     def fx(point):
-        z, p = at(point, _FLUX_ORDER)
+        z, p = at(point)
         psi = z[(0, 0, 0)]
         return (
             psi * z[(1, 1, 0)]
@@ -227,7 +231,7 @@ def _flux_psi(at, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
         )
 
     def fy(point):
-        z, p = at(point, _FLUX_ORDER)
+        z, p = at(point)
         psi = z[(0, 0, 0)]
         return (
             psi * z[(1, 0, 1)]
@@ -252,22 +256,19 @@ def divergence_identity_residual(char: str, field: AnalyticField,
         raise ValueError(f"characteristic must be one of {CHARACTERISTICS}")
     point = tuple(float(v) for v in point)
     f, g = timefns
+    h = FD_H_SCALE * field.shortest_wavelength()
+    centre, stencil = _flux_stencil(field, point, h)
+    z, _ = _finite(centre)
     if char == "f":
         lam = f(point[0])
     elif char == "gy":
         lam = g(point[0]) * point[2]
     else:
-        lam = field.derivative((0, 0, 0), point)
+        lam = z[(0, 0, 0)]
     lhs = lam * vorticity_residual(field, point, nu, beta)
 
-    h = FD_H_SCALE * field.shortest_wavelength()
-    stencil = _flux_stencil(field, point, h)
-
-    def at(q, order: int) -> tuple[Jet, Mapping[str, float] | None]:
-        # a point left out of the stencil has a non-finite jet, and
-        # building it alone raises
-        found = stencil.get(q)
-        return found if found is not None else _jet_values(field, q, order)
+    def at(q) -> tuple[Jet, Mapping[str, float] | None]:
+        return _finite(stencil.get(q))
 
     ft, fx, fy = _FLUXES[char](at, f, g, nu, beta)
     rhs = (central_difference(fx, point, 1, h)

@@ -18,7 +18,8 @@ the inner differences from being re-divided by the step.
 All the checks at one base point read one Neighbourhood record. It
 builds the order-2 jets of every stencil point in one pass, and computes
 the stencil sign verdicts, the operator coefficients, the normalized
-invariants and the first total derivatives at most once.
+invariants and the first total derivatives at most once. The record is
+the only memo of the suite: a jet read outside it is built afresh.
 
 The printed syzygies hold on the branch psi_x > 0; continuing them to
 psi_x < 0 introduces sgn(psi_x) factors that the commutation relations
@@ -152,7 +153,8 @@ def _operator_coefficients(jet: Jet, direction: str):
 class Neighbourhood:
     """What the identity checks read around one base point.
 
-    The order-2 jets at the centre, at +-h, +-h/2 and +-h/4 on each axis
+    The step h is FD_H_SCALE times the field's shortest wavelength. The
+    order-2 jets at the centre, at +-h, +-h/2 and +-h/4 on each axis
     and at the (t, x) diagonals of the mixed second differences are
     built in one pass. A point outside that set, or one whose jet is not
     finite, is built alone by field.jet when read, which raises for a
@@ -161,10 +163,10 @@ class Neighbourhood:
     call.
     """
 
-    def __init__(self, field: AnalyticField, point: Point, h: float):
+    def __init__(self, field: AnalyticField, point: Point):
         self.field = field
         self.point = point
-        self.h = h
+        self.h = h = FD_H_SCALE * field.shortest_wavelength()
         steps = (h, 0.5 * h, 0.25 * h)
         points = [point]
         points += [q for d in range(3) for q in central_points(point, d, h)]
@@ -314,40 +316,8 @@ class Neighbourhood:
         return total
 
 
-# check_syzygy reads one record for all the identities at a point, and
-# the public operators revisit a few points at most.
+# check_syzygy reads one record for all the identities at a point.
 _neighbourhoods = functools.lru_cache(maxsize=4)(Neighbourhood)
-
-
-def _neighbourhood(field: AnalyticField, point,
-                   h: float | None = None) -> Neighbourhood:
-    """The record of a base point; h defaults to FD_H_SCALE times the
-    field's shortest wavelength."""
-    if h is None:
-        h = FD_H_SCALE * field.shortest_wavelength()
-    return _neighbourhoods(field, tuple(float(v) for v in point), h)
-
-
-def invariant_derivative(field: AnalyticField, expr: InvariantExpression,
-                         direction: str, point: Point,
-                         h: float | None = None) -> float:
-    """Apply D^i_t, D^i_x or D^i_y to an invariant expression at a point."""
-    return _neighbourhood(field, point, h).derivative(expr, direction)
-
-
-def invariant_second_derivative(field: AnalyticField, expr: InvariantExpression,
-                                d1: str, d2: str, point: Point,
-                                h: float | None = None) -> float:
-    """D^i_{d1} D^i_{d2} expr, flattened to exact operator coefficients
-    times first and second total derivatives of the expression."""
-    return _neighbourhood(field, point, h).second_derivative(expr, d1, d2)
-
-
-def commutator_value(field: AnalyticField, d1: str, d2: str,
-                     expr: InvariantExpression, point: Point,
-                     h: float | None = None) -> float:
-    """[D^i_{d1}, D^i_{d2}] expr at the point."""
-    return _neighbourhood(field, point, h).commutator(d1, d2, expr)
 
 
 _I110 = invariant_function((1, 1, 0))
@@ -520,7 +490,7 @@ def check_syzygy(identity: str, field: AnalyticField, point: Point) -> float:
         raise ValueError(
             f"unknown identity {identity!r}; choose from {IDENTITY_IDS}"
         ) from None
-    nb = _neighbourhood(field, point)
+    nb = _neighbourhoods(field, tuple(float(v) for v in point))
     if identity in _BRANCH_SENSITIVE:
         _require_positive_branch(identity, nb)
     lhs, rhs = both(nb)

@@ -4,7 +4,9 @@ A jet stores the streamfunction and all its partial derivatives up to a
 fixed order at one space-time point, indexed by multi-indices
 alpha = (a_t, a_x, a_y). Analytic fields (finite sums of trigonometric
 space-time modes) provide exact jets of any order and serve as the
-brute-force oracle throughout the verification suites.
+brute-force oracle throughout the verification suites. A jet, or a
+whole stencil of them, is built in one array pass and not memoised: the
+suites keep the jets of a base point in their own per-point records.
 
 The module also implements differential polynomials on jet coordinates
 (JetPoly): linear combinations of monomials in the psi_alpha with float
@@ -17,7 +19,6 @@ instead of symbolically.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -97,7 +98,8 @@ class AnalyticField:
 
     terms: tuple[tuple[float, float, float, float, float], ...]
 
-    # Fields key the jet caches, so the nested tuple is hashed once.
+    # Fields key the certify records and the amplitude tables, so the
+    # nested tuple is hashed once.
     def __hash__(self) -> int:
         return self._hash
 
@@ -160,20 +162,18 @@ class AnalyticField:
 def analytic_jet(field: AnalyticField, point, order: int) -> Jet:
     """Exact jet of an analytic field; order is capped at MAX_JET_ORDER.
 
-    Jets are memoised per (field, point, order) in a small LRU cache.
-    The returned jet's values are read-only, so no caller can alter a
-    cached jet.
+    The returned jet's values are read-only.
     """
     _check_order(order)
-    if not (type(point) is tuple and len(point) == 3
-            and type(point[0]) is type(point[1]) is type(point[2]) is float):
-        point = tuple(float(v) for v in point)
-    return _exact_jet(field, point, order)
+    (jet,) = _exact_jets(field, (tuple(float(v) for v in point),), order)
+    if jet is None:
+        raise ValueError("jet contains non-finite values")
+    return jet
 
 
 def analytic_jets(field: AnalyticField, points, order: int) -> list[Jet | None]:
-    """Exact jets at many points, built in one pass and not memoised;
-    None stands for a jet with non-finite entries.
+    """Exact jets at many points, built in one pass; None stands for a
+    jet with non-finite entries.
 
     The finite-difference stencils of the certification suites read
     jets at a few dozen points around one base point, all known in
@@ -217,18 +217,6 @@ def _amplitudes(field: AnalyticField, order: int) -> np.ndarray:
     return _read_only(np.array(rows).reshape(len(rows), len(indices)))
 
 
-# Reuse happens around one base point, which touches a few dozen keys;
-# a larger cache only holds jets that are never asked for again.
-@functools.lru_cache(maxsize=64)
-def _exact_jet(field: AnalyticField, point: tuple[float, float, float],
-               order: int) -> Jet:
-    """The jet at one point: a batch of one."""
-    (jet,) = _exact_jets(field, (point,), order)
-    if jet is None:
-        raise ValueError("jet contains non-finite values")
-    return jet
-
-
 def _exact_jets(field: AnalyticField, points, order: int) -> list[Jet | None]:
     """Every derivative of the field at every point, == field.derivative;
     None where an entry is not finite.
@@ -267,10 +255,6 @@ def _exact_jets(field: AnalyticField, points, order: int) -> list[Jet | None]:
         )
         jets.append(jet)
     return jets
-
-
-analytic_jet.cache_info = _exact_jet.cache_info
-analytic_jet.cache_clear = _exact_jet.cache_clear
 
 
 @dataclass(frozen=True)
@@ -484,9 +468,6 @@ def material_power(p: JetPoly, k: int) -> JetPoly:
     return p
 
 
-# Frequently used building blocks.
-PSI = jp_coord((0, 0, 0))
-PSI_X = jp_coord((0, 1, 0))
-PSI_Y = jp_coord((0, 0, 1))
+# The vorticity psi_xx + psi_yy.
 ZETA = jp_add(jp_coord((0, 2, 0)), jp_coord((0, 0, 2)))
 

@@ -25,6 +25,7 @@ from betaplane.jets import (
     JetOrderError,
     TimeFunction,
     analytic_jet,
+    analytic_jets,
     jp_compile,
     jp_eval,
     jp_order,
@@ -164,8 +165,8 @@ def _certify_bytes(tmp_path, tag, monkeypatch):
 
 
 def _clear_memos():
-    for memo in (analytic_jet, jets._amplitudes, identities._neighbourhoods,
-                 conservation._jet_values, conservation._flux_stencil):
+    for memo in (jets._amplitudes, identities._neighbourhoods,
+                 conservation._flux_stencil):
         memo.cache_clear()
 
 
@@ -189,17 +190,15 @@ def _scalar_jets(field, points, order):
 
 
 def test_certify_tables_independent_of_jet_cache(tmp_path, monkeypatch):
-    """Cold memos, warm memos, uncached jets and records with dict
+    """Cold records, warm records, uncached records with dict
     evaluation, and scalar jets write the same bytes and skip the same
     points, for both reasons a point is skipped. The scalar jets reach
     every jet the tables read: the array builder never runs."""
     _clear_memos()
     cold = _certify_bytes(tmp_path, "cold", monkeypatch)
     warm = _certify_bytes(tmp_path, "warm", monkeypatch)
-    for name in ("_jet_values", "_flux_stencil"):
-        memo = getattr(conservation, name)
-        monkeypatch.setattr(conservation, name, memo.__wrapped__)
-    monkeypatch.setattr(jets, "_exact_jet", jets._exact_jet.__wrapped__)
+    monkeypatch.setattr(conservation, "_flux_stencil",
+                        conservation._flux_stencil.__wrapped__)
     monkeypatch.setattr(identities, "_neighbourhoods", identities.Neighbourhood)
     monkeypatch.setattr(conservation, "_poly_values", _jp_eval_values)
     reference = _certify_bytes(tmp_path, "reference", monkeypatch)
@@ -211,6 +210,30 @@ def test_certify_tables_independent_of_jet_cache(tmp_path, monkeypatch):
     skipped, raised = cold[1:]
     assert raised == {StencilCrossingError, DomainConditionError}
     assert skipped.total() > 0
+
+
+@pytest.mark.parametrize("x, centre_finite", [
+    # psi overflows at the base point itself
+    (0.5 * np.pi, False),
+    # psi is finite at the base point and overflows from x ~ 1.1176 on,
+    # where the x-stencil point at +h lies
+    (1.1165, True),
+])
+def test_non_finite_jets_raise_on_a_warm_record(x, centre_finite):
+    """A non-finite jet in a base point's record raises for every
+    characteristic, the first time with a fresh record and again with
+    the record warm."""
+    field = AnalyticField.from_terms([(1.0e308, 0.0, 1.0, 0.0, 0.0)] * 2)
+    timefns = (TimeFunction((1.0,)), TimeFunction((1.0,)))
+    point = (0.0, x, 0.0)
+    conservation._flux_stencil.cache_clear()
+    with np.errstate(over="ignore", invalid="ignore"):
+        (centre,) = analytic_jets(field, [point], conservation._L_ORDER)
+        assert (centre is not None) == centre_finite
+        for _ in ("cold", "warm"):
+            for char in CHARACTERISTICS:
+                with pytest.raises(ValueError, match="non-finite"):
+                    divergence_identity_residual(char, field, timefns, point)
 
 
 # --- grid-level budgets -------------------------------------------------

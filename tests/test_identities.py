@@ -15,16 +15,14 @@ from betaplane.identities import (
     IDENTITIES,
     IDENTITY_IDS,
     DomainConditionError,
+    Neighbourhood,
     StencilCrossingError,
     central_difference,
     check_syzygy,
-    commutator_value,
-    invariant_derivative,
     invariant_function,
-    invariant_second_derivative,
     richardson3,
 )
-from betaplane.jets import AnalyticField, analytic_jet
+from betaplane.jets import AnalyticField
 
 TOL = 1e-6
 
@@ -124,7 +122,6 @@ def near_zero_point(field, rng):
 
 
 def clear_memos():
-    analytic_jet.cache_clear()
     identities._neighbourhoods.cache_clear()
 
 
@@ -186,10 +183,15 @@ def test_warm_memo_keeps_skipped_points_skipped(tmp_path, monkeypatch):
     assert skips[0] == skips[1] == Counter(dict.fromkeys(IDENTITY_IDS, 1))
 
 
+def record(field, point):
+    """A fresh Neighbourhood of the base point."""
+    return Neighbourhood(field, tuple(map(float, point)))
+
+
 def test_invariant_derivative_linearity():
     rng = np.random.default_rng(4)
     field = AnalyticField.random(rng)
-    point = sample_point(field, rng)
+    nb = record(field, sample_point(field, rng))
     i020 = invariant_function((0, 2, 0))
     i002 = invariant_function((0, 0, 2))
 
@@ -197,20 +199,19 @@ def test_invariant_derivative_linearity():
         return 2.0 * i020(fld, pt) - 3.0 * i002(fld, pt)
 
     for direction in ("t", "x", "y"):
-        lhs = invariant_derivative(field, combo, direction, point)
-        rhs = 2.0 * invariant_derivative(
-            field, i020, direction, point
-        ) - 3.0 * invariant_derivative(field, i002, direction, point)
+        lhs = nb.derivative(combo, direction)
+        rhs = (2.0 * nb.derivative(i020, direction)
+               - 3.0 * nb.derivative(i002, direction))
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
 def test_commutator_antisymmetry():
     rng = np.random.default_rng(5)
     field = AnalyticField.random(rng)
-    point = sample_point(field, rng)
+    nb = record(field, sample_point(field, rng))
     i020 = invariant_function((0, 2, 0))
-    ab = commutator_value(field, "x", "y", i020, point)
-    ba = commutator_value(field, "y", "x", i020, point)
+    ab = nb.commutator("x", "y", i020)
+    ba = nb.commutator("y", "x", i020)
     assert ab == pytest.approx(-ba, rel=1e-10, abs=1e-12)
 
 
@@ -219,13 +220,12 @@ def test_second_derivative_symmetric_part_consistency():
     commutator (the two independent implementations agree)."""
     rng = np.random.default_rng(6)
     field = AnalyticField.random(rng)
-    point = sample_point(field, rng)
+    nb = record(field, sample_point(field, rng))
     i020 = invariant_function((0, 2, 0))
     for d1, d2 in (("t", "x"), ("x", "y"), ("t", "y")):
-        diff = invariant_second_derivative(
-            field, i020, d1, d2, point
-        ) - invariant_second_derivative(field, i020, d2, d1, point)
-        comm = commutator_value(field, d1, d2, i020, point)
+        diff = (nb.second_derivative(i020, d1, d2)
+                - nb.second_derivative(i020, d2, d1))
+        comm = nb.commutator(d1, d2, i020)
         assert diff == pytest.approx(comm, rel=1e-4, abs=1e-6)
 
 

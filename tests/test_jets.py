@@ -7,14 +7,16 @@ are the oracles every higher-level identity test rests on.
 
 from __future__ import annotations
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betaplane import conservation, identities, invariants, jets
+import betaplane
 from betaplane.jets import (
     MAX_JET_ORDER,
     AnalyticField,
@@ -116,7 +118,6 @@ def test_jet_contains_all_indices(field):
     of zero included, for every order, on random fields and fields with
     negative and zero frequencies, at several points."""
     fields, points = derivative_test_fields(field)
-    analytic_jet.cache_clear()
     for fld in fields:
         for point in points:
             for order in range(MAX_JET_ORDER + 1):
@@ -169,16 +170,6 @@ def test_batch_marks_non_finite_jets():
         analytic_jet(twice, peak, 0)
 
 
-def test_cached_jet_equals_fresh_derivatives(field):
-    analytic_jet.cache_clear()
-    cold = analytic_jet(field, POINT, 5)
-    warm = analytic_jet(field, list(POINT), 5)
-    assert warm is cold
-    fresh = {alpha: field.derivative(alpha, POINT) for alpha in multi_indices(5)}
-    assert dict(cold.values) == fresh
-    assert analytic_jet.cache_info().hits >= 1
-
-
 def test_jet_values_are_read_only(field):
     jet = analytic_jet(field, POINT, 2)
     with pytest.raises(TypeError):
@@ -192,14 +183,50 @@ def test_jet_values_are_read_only(field):
     assert built.vector.tolist() == [1.0, 2.0, 3.0, 4.0, 1.0]
 
 
+# The functools caches allowed no bound, each with the key domain that
+# bounds it instead.
+UNBOUNDED_CACHES = {
+    # one Workspace per grid a process builds
+    "betaplane.spectral.workspace",
+    # one polynomial per k < MAX_JET_ORDER
+    "betaplane.invariants._frame_f_poly",
+    "betaplane.invariants._frame_h_poly",
+    # one polynomial per alpha with |alpha| <= MAX_JET_ORDER
+    "betaplane.invariants._invariant_poly",
+}
+
+
+def functools_caches():
+    """Every functools cache defined in a betaplane module, at module
+    level or in a class body, by qualified name."""
+    caches = {}
+    for info in pkgutil.iter_modules(betaplane.__path__):
+        module = importlib.import_module(f"betaplane.{info.name}")
+        owners = [(module.__name__, vars(module))]
+        owners += [(f"{module.__name__}.{name}", vars(cls))
+                   for name, cls in vars(module).items()
+                   if isinstance(cls, type)
+                   and cls.__module__ == module.__name__]
+        for prefix, namespace in owners:
+            for name, obj in namespace.items():
+                if (callable(getattr(obj, "cache_parameters", None))
+                        and obj.__module__ == module.__name__):
+                    caches[f"{prefix}.{name}"] = obj
+    return caches
+
+
 def test_jet_cache_is_bounded():
-    caches = [analytic_jet, jets._amplitudes, jets._grades, jets._shifts,
-              identities._neighbourhoods, conservation._compiled_polys,
-              conservation._jet_values, conservation._flux_stencil,
-              invariants._boost_tables]
-    for cache in caches:
-        maxsize = cache.cache_info().maxsize
-        assert maxsize is not None and maxsize <= 64, cache
+    """Every functools cache holds at most 64 entries, except the listed
+    ones whose keys come from a small finite set."""
+    caches = functools_caches()
+    assert "betaplane.jets._graded_indices" in caches
+    assert UNBOUNDED_CACHES <= set(caches)
+    for name, cache in caches.items():
+        maxsize = cache.cache_parameters()["maxsize"]
+        if name in UNBOUNDED_CACHES:
+            assert maxsize is None, name
+        else:
+            assert maxsize is not None and maxsize <= 64, name
 
 
 def test_field_hash_is_the_terms_hash(field):
