@@ -27,7 +27,7 @@ from .config import (
     generate_initial_condition,
     parse_config_file,
 )
-from .dissipation import VARIANTS, DissipationSpec
+from .dissipation import VARIANTS
 from .invariants import GroupElement
 from .jets import TimeFunction
 from .run import (

@@ -98,9 +98,6 @@ class RunConfig:
         if self.initial_psi is not None and self.initial_psi.grid != self.grid:
             raise ConfigError("initial field does not match the grid")
 
-    def with_initial_psi(self, psi: RealField) -> "RunConfig":
-        return replace(self, grid=psi.grid, initial_psi=psi)
-
     def model_params(self, dt: float) -> ModelParams:
         """The stepper's constants for this run at the resolved step dt."""
         return ModelParams(beta=self.beta, dt=dt, dissipation=self.dissipation,

@@ -110,33 +110,6 @@ def _poly_values(z: Jet) -> Mapping[str, float]:
     return MappingProxyType(dict(zip(names, compiled.evaluate(z).tolist())))
 
 
-# The f, gy and psi residuals read the same jets around one base point.
-@functools.lru_cache(maxsize=4)
-def _flux_stencil(field: AnalyticField, point, h: float
-                  ) -> tuple[tuple | None, Mapping[tuple, tuple]]:
-    """The jets the residuals at a base point read, each order built in
-    one pass: of order _L_ORDER at the point itself and of order
-    _FLUX_ORDER at the x and y points of the fluxes' central
-    differences, each with its _poly_values, and of order 1 at the t
-    points. A jet that is not finite is left out: the centre is None
-    and a stencil point is missing."""
-    (z,) = analytic_jets(field, [point], _L_ORDER)
-    centre = None if z is None else (z, _poly_values(z))
-    xy = [q for d in (1, 2) for q in central_points(point, d, h)]
-    t = central_points(point, 0, h)
-    stencil = {
-        q: (z, _poly_values(z))
-        for q, z in zip(xy, analytic_jets(field, xy, _FLUX_ORDER))
-        if z is not None
-    }
-    stencil.update(
-        (q, (z, None))
-        for q, z in zip(t, analytic_jets(field, t, 1))
-        if z is not None
-    )
-    return centre, MappingProxyType(stencil)
-
-
 def _finite(entry: tuple | None) -> tuple:
     """A record entry; the record leaves out a non-finite jet."""
     if entry is None:
@@ -144,12 +117,50 @@ def _finite(entry: tuple | None) -> tuple:
     return entry
 
 
-def vorticity_residual(field: AnalyticField, point, nu: float,
-                       beta: float) -> float:
-    """L = zeta_t + psi_x zeta_y - psi_y zeta_x + beta psi_x - D at a point."""
-    h = FD_H_SCALE * field.shortest_wavelength()
-    centre, _ = _flux_stencil(field, tuple(float(v) for v in point), h)
-    z, p = _finite(centre)
+class FluxStencil:
+    """The jets the f, gy and psi residuals at one base point read.
+
+    The point is converted to floats, and the step h is FD_H_SCALE times
+    the field's shortest wavelength, as for identities.Neighbourhood.
+    Each order is built in one pass: _L_ORDER at the point itself,
+    _FLUX_ORDER at the x and y points of the fluxes' central
+    differences, each with its _poly_values, and 1 at the t points. A
+    jet that is not finite is left out, and reading it raises
+    ValueError, on every read.
+    """
+
+    def __init__(self, field: AnalyticField, point):
+        self.point = point = tuple(float(v) for v in point)
+        self.h = h = FD_H_SCALE * field.shortest_wavelength()
+        (z,) = analytic_jets(field, [point], _L_ORDER)
+        self._centre = None if z is None else (z, _poly_values(z))
+        xy = [q for d in (1, 2) for q in central_points(point, d, h)]
+        t = central_points(point, 0, h)
+        self._stencil = {
+            q: (z, _poly_values(z))
+            for q, z in zip(xy, analytic_jets(field, xy, _FLUX_ORDER))
+            if z is not None
+        }
+        self._stencil.update(
+            (q, (z, None))
+            for q, z in zip(t, analytic_jets(field, t, 1))
+            if z is not None
+        )
+
+    def centre(self) -> tuple[Jet, Mapping[str, float]]:
+        """The order-_L_ORDER jet at the base point and its _poly_values."""
+        return _finite(self._centre)
+
+    def at(self, q) -> tuple[Jet, Mapping[str, float] | None]:
+        """The jet at a stencil point and its _poly_values (None at the
+        t points)."""
+        return _finite(self._stencil.get(q))
+
+
+def vorticity_residual(stencil: FluxStencil, nu: float, beta: float) -> float:
+    """L = zeta_t + psi_x zeta_y - psi_y zeta_x + beta psi_x - D at the
+    base point."""
+    z, p = stencil.centre()
     return (
         p["advection"]
         + beta * z[(0, 1, 0)]
@@ -247,30 +258,24 @@ def _flux_psi(at, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
 _FLUXES = {"f": _flux_f, "gy": _flux_gy, "psi": _flux_psi}
 
 
-def divergence_identity_residual(char: str, field: AnalyticField,
+def divergence_identity_residual(char: str, stencil: FluxStencil,
                                  timefns: tuple[TimeFunction, TimeFunction],
-                                 point, nu: float = 1.0,
-                                 beta: float = 1.0) -> float:
-    """|lambda*L - (D_t F^t + D_x F^x + D_y F^y)| / max(1, |lambda*L|)."""
+                                 nu: float = 1.0, beta: float = 1.0) -> float:
+    """|lambda*L - (D_t F^t + D_x F^x + D_y F^y)| / max(1, |lambda*L|)
+    at the record's base point."""
     if char not in CHARACTERISTICS:
         raise ValueError(f"characteristic must be one of {CHARACTERISTICS}")
-    point = tuple(float(v) for v in point)
+    point, h = stencil.point, stencil.h
     f, g = timefns
-    h = FD_H_SCALE * field.shortest_wavelength()
-    centre, stencil = _flux_stencil(field, point, h)
-    z, _ = _finite(centre)
+    z, _ = stencil.centre()
     if char == "f":
         lam = f(point[0])
     elif char == "gy":
         lam = g(point[0]) * point[2]
     else:
         lam = z[(0, 0, 0)]
-    lhs = lam * vorticity_residual(field, point, nu, beta)
-
-    def at(q) -> tuple[Jet, Mapping[str, float] | None]:
-        return _finite(stencil.get(q))
-
-    ft, fx, fy = _FLUXES[char](at, f, g, nu, beta)
+    lhs = lam * vorticity_residual(stencil, nu, beta)
+    ft, fx, fy = _FLUXES[char](stencil.at, f, g, nu, beta)
     rhs = (central_difference(fx, point, 1, h)
            + central_difference(fy, point, 2, h))
     if ft is not None:

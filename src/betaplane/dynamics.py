@@ -7,7 +7,7 @@ lagged leapfrog level to avoid the diffusive leapfrog instability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,11 +189,11 @@ def integrate(zeta0: RealField, params: ModelParams, steps: int,
     return state
 
 
-def auto_dt(psi: RealField, cfl: float = 0.4) -> float:
+def auto_dt(psi: RealField) -> float:
     """Fixed advective step 0.4*min(dx, dy)/max|grad psi|, set at t=0."""
     grid = psi.grid
     ws = workspace(grid)
     umax = max(np.abs(u).max() for u in derive(psi, ws.iky, ws.ikx))
     if umax == 0.0:
         raise ValueError("cannot size dt for a quiescent field")
-    return cfl * min(grid.dx, grid.dy) / umax
+    return 0.4 * min(grid.dx, grid.dy) / umax

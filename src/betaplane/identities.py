@@ -15,11 +15,12 @@ flattened into coefficient functions times first and second total
 derivatives rather than nesting FD inside FD, which keeps the noise of
 the inner differences from being re-divided by the step.
 
-All the checks at one base point read one Neighbourhood record. It
-builds the order-2 jets of every stencil point in one pass, and computes
-the stencil sign verdicts, the operator coefficients, the normalized
-invariants and the first total derivatives at most once. The record is
-the only memo of the suite: a jet read outside it is built afresh.
+All the checks at one base point read one Neighbourhood record, which
+the caller builds and passes to each check. It builds the order-2 jets
+of every stencil point in one pass, and computes the stencil sign
+verdicts, the operator coefficients, the normalized invariants and the
+first total derivatives at most once. Nothing outlives the record: a jet
+read outside it is built afresh.
 
 The printed syzygies hold on the branch psi_x > 0; continuing them to
 psi_x < 0 introduces sgn(psi_x) factors that the commutation relations
@@ -29,7 +30,6 @@ not, so the syzygy checks reject points with psi_x < 0.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable
 
@@ -153,19 +153,19 @@ def _operator_coefficients(jet: Jet, direction: str):
 class Neighbourhood:
     """What the identity checks read around one base point.
 
-    The step h is FD_H_SCALE times the field's shortest wavelength. The
-    order-2 jets at the centre, at +-h, +-h/2 and +-h/4 on each axis
-    and at the (t, x) diagonals of the mixed second differences are
-    built in one pass. A point outside that set, or one whose jet is not
-    finite, is built alone by field.jet when read, which raises for a
-    non-finite jet. A crossing stencil's verdict is kept, so every check
-    of it raises; any other error stores nothing and recurs on every
-    call.
+    The point is converted to floats, and the step h is FD_H_SCALE times
+    the field's shortest wavelength. The order-2 jets at the centre, at
+    +-h, +-h/2 and +-h/4 on each axis and at the (t, x) diagonals of the
+    mixed second differences are built in one pass. A point outside that
+    set, or one whose jet is not finite, is built alone by field.jet
+    when read, which raises for a non-finite jet. A crossing stencil's
+    verdict is kept, so every check of it raises; any other error stores
+    nothing and recurs on every call.
     """
 
     def __init__(self, field: AnalyticField, point: Point):
         self.field = field
-        self.point = point
+        self.point = point = tuple(float(v) for v in point)
         self.h = h = FD_H_SCALE * field.shortest_wavelength()
         steps = (h, 0.5 * h, 0.25 * h)
         points = [point]
@@ -316,10 +316,6 @@ class Neighbourhood:
         return total
 
 
-# check_syzygy reads one record for all the identities at a point.
-_neighbourhoods = functools.lru_cache(maxsize=4)(Neighbourhood)
-
-
 _I110 = invariant_function((1, 1, 0))
 _I020 = invariant_function((0, 2, 0))
 _I011 = invariant_function((0, 1, 1))
@@ -420,9 +416,9 @@ def _commutator_identity(d1: str, d2: str):
     return check
 
 
-def _require_domain(nb, threshold: float = 1.0e-6) -> float:
+def _require_domain(nb) -> float:
     denom = nb.derivative(_I020, "x")
-    if abs(denom) < threshold:
+    if abs(denom) < 1.0e-6:
         raise DomainConditionError(
             f"D^i_x I_020 = {denom:.3e} too close to zero at {nb.point}"
         )
@@ -481,16 +477,15 @@ IDENTITIES = {
 IDENTITY_IDS = tuple(IDENTITIES)
 
 
-def check_syzygy(identity: str, field: AnalyticField, point: Point) -> float:
+def check_syzygy(identity: str, nb: Neighbourhood) -> float:
     """|LHS - RHS| of a named syzygy, commutation relation or generator
-    representation at the point."""
+    representation at the record's base point."""
     try:
         both = IDENTITIES[identity]
     except KeyError:
         raise ValueError(
             f"unknown identity {identity!r}; choose from {IDENTITY_IDS}"
         ) from None
-    nb = _neighbourhoods(field, tuple(float(v) for v in point))
     if identity in _BRANCH_SENSITIVE:
         _require_positive_branch(identity, nb)
     lhs, rhs = both(nb)

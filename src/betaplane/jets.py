@@ -98,8 +98,7 @@ class AnalyticField:
 
     terms: tuple[tuple[float, float, float, float, float], ...]
 
-    # Fields key the certify records and the amplitude tables, so the
-    # nested tuple is hashed once.
+    # A field hashes as its terms; the nested tuple is hashed once.
     def __hash__(self) -> int:
         return self._hash
 
@@ -112,12 +111,11 @@ class AnalyticField:
         return cls(tuple(tuple(float(v) for v in t) for t in terms))
 
     @classmethod
-    def random(cls, rng: np.random.Generator, n_terms: int = 4,
-               amplitude: float = 1.0, freq: float = 1.0) -> "AnalyticField":
+    def random(cls, rng: np.random.Generator, n_terms: int = 4) -> "AnalyticField":
         terms = []
         for _ in range(n_terms):
-            a = amplitude * rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0])
-            om, ka, la = freq * rng.uniform(0.3, 1.2, size=3) * rng.choice(
+            a = rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0])
+            om, ka, la = rng.uniform(0.3, 1.2, size=3) * rng.choice(
                 [-1.0, 1.0], size=3
             )
             ph = rng.uniform(0.0, 2.0 * np.pi)
@@ -139,6 +137,25 @@ class AnalyticField:
     @functools.cached_property
     def _columns(self) -> np.ndarray:
         return _read_only(np.array(self.terms).reshape(-1, 5).T.copy())
+
+    # jet order -> _amplitudes table, for _exact_jets
+    @functools.cached_property
+    def _amplitude_tables(self) -> dict[int, np.ndarray]:
+        return {}
+
+    def _amplitudes(self, order: int) -> np.ndarray:
+        """amp * om**a1 * ka**a2 * la**a3 per (term, alpha) as
+        derivative forms it; built once per order and kept on the field."""
+        table = self._amplitude_tables.get(order)
+        if table is None:
+            indices = _graded_indices(order)
+            rows = [
+                [amp * (om**a1 * ka**a2 * la**a3) for a1, a2, a3 in indices]
+                for amp, om, ka, la, _ in self.terms
+            ]
+            table = self._amplitude_tables[order] = _read_only(
+                np.array(rows).reshape(len(rows), len(indices)))
+        return table
 
     def shortest_wavelength(self) -> float:
         """2*pi over the largest frequency component, for FD step sizing."""
@@ -205,18 +222,6 @@ def _shifts(order: int) -> np.ndarray:
     return _read_only(np.array([k * 0.5 * np.pi for k in range(order + 1)]))
 
 
-@functools.lru_cache(maxsize=64)
-def _amplitudes(field: AnalyticField, order: int) -> np.ndarray:
-    """amp * om**a1 * ka**a2 * la**a3 per (term, alpha) as derivative
-    forms it."""
-    indices = _graded_indices(order)
-    rows = [
-        [amp * (om**a1 * ka**a2 * la**a3) for a1, a2, a3 in indices]
-        for amp, om, ka, la, _ in field.terms
-    ]
-    return _read_only(np.array(rows).reshape(len(rows), len(indices)))
-
-
 def _exact_jets(field: AnalyticField, points, order: int) -> list[Jet | None]:
     """Every derivative of the field at every point, == field.derivative;
     None where an entry is not finite.
@@ -230,7 +235,7 @@ def _exact_jets(field: AnalyticField, points, order: int) -> list[Jet | None]:
     _, om, ka, la, ph = field._columns
     args = (om * t + ka * x + la * y + ph)[..., None] + _shifts(order)
     sines = np.array(list(map(math.sin, args.ravel().tolist())))
-    amplitudes = _amplitudes(field, order)
+    amplitudes = field._amplitudes(order)
     # row 0 of each point stays 0.0: derivative sums from 0.0
     products = np.zeros((len(points), len(amplitudes) + 1, amplitudes.shape[1]))
     np.multiply(amplitudes, sines.reshape(args.shape).take(_grades(order), axis=2),
@@ -275,9 +280,8 @@ class TimeFunction:
         return cls(coeffs, t0=float(t0))
 
     @classmethod
-    def random(cls, rng: np.random.Generator, degree: int = 4,
-               scale: float = 1.0) -> "TimeFunction":
-        return cls(tuple(scale * rng.uniform(-1.0, 1.0) for _ in range(degree + 1)))
+    def random(cls, rng: np.random.Generator, degree: int = 4) -> "TimeFunction":
+        return cls(tuple(rng.uniform(-1.0, 1.0) for _ in range(degree + 1)))
 
     @property
     def degree(self) -> int:

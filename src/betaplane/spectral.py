@@ -1,4 +1,4 @@
-"""Spectral derivatives, Poisson inversion, shell sums and shifts.
+"""Spectral derivatives, the inverse-Laplacian factor, shell sums and shifts.
 
 Convention: forward transform is unscaled, the inverse carries
 1/(nx*ny), so Parseval reads sum |f|^2 = sum |fhat|^2 / (nx*ny) over the
@@ -129,15 +129,6 @@ def laplacian(f: RealField, power: int = 1) -> RealField:
     if power < 1:
         raise ValueError("laplacian power must be >= 1")
     return _apply(f, (-workspace(f.grid).k2) ** power)
-
-
-def poisson_solve(zeta: RealField) -> RealField:
-    """Invert Delta psi = zeta on the torus with mean(psi) = 0.
-
-    A nonzero mean of zeta has no periodic solution; it is projected
-    out silently (the callers keep zeta zero-mean anyway).
-    """
-    return _apply(zeta, workspace(zeta.grid).inv_laplacian)
 
 
 def spectral_shift(f: RealField, shift_x: float, shift_y: float) -> RealField:

@@ -15,6 +15,7 @@ import pytest
 from betaplane.config import IcSpec, RunConfig, generate_initial_condition
 from betaplane.conservation import (
     CHARACTERISTICS,
+    FluxStencil,
     conservation_budget,
     divergence_identity_residual,
 )
@@ -228,10 +229,10 @@ def test_criterion_6_conservative_budgets():
         f = TimeFunction.random(rng, degree=3)
         g = TimeFunction.random(rng, degree=3)
         for _ in range(4):
-            point = tuple(rng.uniform(-2.0, 2.0, size=3))
+            stencil = FluxStencil(field, rng.uniform(-2.0, 2.0, size=3))
             for char in CHARACTERISTICS:
                 worst = max(worst, divergence_identity_residual(
-                    char, field, (f, g), point, nu=1.0, beta=1.0))
+                    char, stencil, (f, g), nu=1.0, beta=1.0))
 
     ok = gamma_ok and e_ok and m_ok and worst <= 1e-6
     _report(6, ok,

@@ -293,11 +293,11 @@ def test_certify_invariants_counts_skipped_points(tmp_path, monkeypatch):
     check = bp_run.check_syzygy
     calls = Counter()
 
-    def every_other_syzygy_4_fails(name, field, point):
+    def every_other_syzygy_4_fails(name, nb):
         calls[name] += 1
         if name == "syzygy_4" and calls[name] % 2:
             raise DomainConditionError("forced")
-        return check(name, field, point)
+        return check(name, nb)
 
     monkeypatch.setattr(bp_run, "check_syzygy", every_other_syzygy_4_fails)
     skipped = Counter()

@@ -3,6 +3,8 @@ conservation budgets."""
 
 from __future__ import annotations
 
+import gc
+import weakref
 from collections import Counter
 from types import MappingProxyType
 
@@ -12,13 +14,20 @@ import pytest
 from betaplane import conservation, identities, jets, run
 from betaplane.conservation import (
     CHARACTERISTICS,
+    FluxStencil,
     conservation_budget,
     divergence_identity_residual,
     vorticity_residual,
 )
 from betaplane.dissipation import DissipationSpec
 from betaplane.grid import Grid, RealField
-from betaplane.identities import DomainConditionError, StencilCrossingError
+from betaplane.identities import (
+    IDENTITY_IDS,
+    DomainConditionError,
+    Neighbourhood,
+    StencilCrossingError,
+    check_syzygy,
+)
 from betaplane.jets import (
     AnalyticField,
     Jet,
@@ -54,7 +63,7 @@ def test_divergence_identities_hold(char):
         field, timefns, points = random_setup(100 + seed)
         for point in points:
             res = divergence_identity_residual(
-                char, field, timefns, point, nu=0.8, beta=1.3
+                char, FluxStencil(field, point), timefns, nu=0.8, beta=1.3
             )
             worst = max(worst, res)
     assert worst <= TOL, (char, worst)
@@ -67,7 +76,7 @@ def test_divergence_identities_inviscid_limit(char):
     field, timefns, points = random_setup(7)
     for point in points[:3]:
         res = divergence_identity_residual(
-            char, field, timefns, point, nu=0.0, beta=2.0
+            char, FluxStencil(field, point), timefns, nu=0.0, beta=2.0
         )
         assert res <= TOL
 
@@ -77,14 +86,16 @@ def test_circulation_identity_constant_f():
     field, _, points = random_setup(11)
     timefns = (TimeFunction((1.0,)), TimeFunction.zero())
     for point in points:
-        res = divergence_identity_residual("f", field, timefns, point)
+        res = divergence_identity_residual("f", FluxStencil(field, point),
+                                           timefns)
         assert res <= TOL
 
 
 def test_unknown_characteristic():
     field, timefns, points = random_setup(13)
     with pytest.raises(ValueError):
-        divergence_identity_residual("energy", field, timefns, points[0])
+        divergence_identity_residual("energy", FluxStencil(field, points[0]),
+                                     timefns)
 
 
 def test_vorticity_residual_matches_direct_derivatives():
@@ -105,7 +116,7 @@ def test_vorticity_residual_matches_direct_derivatives():
             - d((0, 0, 1), point) * zeta_x
             + beta * d((0, 1, 0), point)
         )
-        got = vorticity_residual(field, point, nu=0.0, beta=beta)
+        got = vorticity_residual(FluxStencil(field, point), nu=0.0, beta=beta)
         assert got == pytest.approx(raw, rel=1e-10, abs=1e-10)
 
 
@@ -144,9 +155,9 @@ def _certify_bytes(tmp_path, tag, monkeypatch):
             return _ADMISSIBLE(field, rng)
         return near_zero_point(field, rng)
 
-    def recording_check(name, field, point):
+    def recording_check(name, nb):
         try:
-            return identities.check_syzygy(name, field, point)
+            return identities.check_syzygy(name, nb)
         except ValueError as err:
             raised.add(type(err))
             raise
@@ -162,12 +173,6 @@ def _certify_bytes(tmp_path, tag, monkeypatch):
     certify_conservation(div, bud, n_fields=2, n_points=2, seed=5,
                          resolutions=(16,))
     return [p.read_bytes() for p in (inv, div, bud)], skipped, raised
-
-
-def _clear_memos():
-    for memo in (jets._amplitudes, identities._neighbourhoods,
-                 conservation._flux_stencil):
-        memo.cache_clear()
 
 
 def _jp_eval_values(z):
@@ -189,25 +194,23 @@ def _scalar_jets(field, points, order):
     ]
 
 
+def _no_amplitudes(field, order):
+    raise AssertionError("the array jet builder ran")
+
+
 def test_certify_tables_independent_of_jet_cache(tmp_path, monkeypatch):
-    """Cold records, warm records, uncached records with dict
-    evaluation, and scalar jets write the same bytes and skip the same
-    points, for both reasons a point is skipped. The scalar jets reach
-    every jet the tables read: the array builder never runs."""
-    _clear_memos()
-    cold = _certify_bytes(tmp_path, "cold", monkeypatch)
-    warm = _certify_bytes(tmp_path, "warm", monkeypatch)
-    monkeypatch.setattr(conservation, "_flux_stencil",
-                        conservation._flux_stencil.__wrapped__)
-    monkeypatch.setattr(identities, "_neighbourhoods", identities.Neighbourhood)
+    """Records, records with dict evaluation, and scalar jets write the
+    same bytes and skip the same points, for both reasons a point is
+    skipped. The scalar jets reach every jet the tables read: the array
+    builder never reads an amplitude table."""
+    records = _certify_bytes(tmp_path, "records", monkeypatch)
     monkeypatch.setattr(conservation, "_poly_values", _jp_eval_values)
     reference = _certify_bytes(tmp_path, "reference", monkeypatch)
     monkeypatch.setattr(jets, "_exact_jets", _scalar_jets)
-    jets._amplitudes.cache_clear()
+    monkeypatch.setattr(AnalyticField, "_amplitudes", _no_amplitudes)
     scalar = _certify_bytes(tmp_path, "scalar", monkeypatch)
-    assert jets._amplitudes.cache_info()[:2] == (0, 0)
-    assert cold == warm == reference == scalar
-    skipped, raised = cold[1:]
+    assert records == reference == scalar
+    skipped, raised = records[1:]
     assert raised == {StencilCrossingError, DomainConditionError}
     assert skipped.total() > 0
 
@@ -222,18 +225,38 @@ def test_certify_tables_independent_of_jet_cache(tmp_path, monkeypatch):
 def test_non_finite_jets_raise_on_a_warm_record(x, centre_finite):
     """A non-finite jet in a base point's record raises for every
     characteristic, the first time with a fresh record and again with
-    the record warm."""
+    the same record warm."""
     field = AnalyticField.from_terms([(1.0e308, 0.0, 1.0, 0.0, 0.0)] * 2)
     timefns = (TimeFunction((1.0,)), TimeFunction((1.0,)))
     point = (0.0, x, 0.0)
-    conservation._flux_stencil.cache_clear()
     with np.errstate(over="ignore", invalid="ignore"):
         (centre,) = analytic_jets(field, [point], conservation._L_ORDER)
         assert (centre is not None) == centre_finite
+        stencil = FluxStencil(field, point)
         for _ in ("cold", "warm"):
             for char in CHARACTERISTICS:
                 with pytest.raises(ValueError, match="non-finite"):
-                    divergence_identity_residual(char, field, timefns, point)
+                    divergence_identity_residual(char, stencil, timefns)
+
+
+def test_checked_field_is_freed_with_its_records():
+    """Nothing but the caller's records keeps a field the certify
+    suites have checked: once they and the field are dropped, the field
+    is freed."""
+    field, timefns, points = random_setup(19)
+    alive = weakref.ref(field)
+    nb = Neighbourhood(field, points[0])
+    for identity in IDENTITY_IDS:
+        try:
+            check_syzygy(identity, nb)
+        except (DomainConditionError, StencilCrossingError):
+            pass
+    stencil = FluxStencil(field, points[0])
+    for char in CHARACTERISTICS:
+        divergence_identity_residual(char, stencil, timefns)
+    del field, nb, stencil
+    gc.collect()
+    assert alive() is None
 
 
 # --- grid-level budgets -------------------------------------------------

@@ -19,7 +19,7 @@ from betaplane.dynamics import (
 )
 from betaplane.dissipation import VARIANTS, DissipationSpec
 from betaplane.grid import Grid, RealField
-from betaplane.spectral import laplacian, poisson_solve
+from betaplane.spectral import laplacian
 
 
 @pytest.fixture
@@ -158,7 +158,7 @@ def test_instability_reports_step(grid):
         dissipation=DissipationSpec("classical", n=2, nu=10.0),
     )
     with pytest.raises(InstabilityError) as err:
-        integrate(laplacian(poisson_solve(zeta0)), params, 50)
+        integrate(laplacian(initial_state(zeta0).psi_curr), params, 50)
     assert err.value.step >= 1
 
 

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from betaplane import identities, run
+from betaplane import run
 from betaplane.identities import (
     IDENTITIES,
     IDENTITY_IDS,
@@ -54,7 +54,7 @@ def test_identities_hold_on_positive_branch(identity):
         for _ in range(4):
             point = sample_point(field, rng)
             try:
-                res = check_syzygy(identity, field, point)
+                res = check_syzygy(identity, Neighbourhood(field, point))
             except DomainConditionError:
                 continue
             assert res <= TOL, (identity, point, res)
@@ -71,7 +71,7 @@ def test_sign_carrying_identities_hold_on_negative_branch(identity):
         for _ in range(3):
             point = sample_point(field, rng, sign=-1.0)
             try:
-                res = check_syzygy(identity, field, point)
+                res = check_syzygy(identity, Neighbourhood(field, point))
             except DomainConditionError:
                 continue
             assert res <= TOL, (identity, point, res)
@@ -89,14 +89,14 @@ def test_printed_syzygies_restricted_to_positive_branch(identity):
     field = AnalyticField.random(rng)
     point = sample_point(field, rng, sign=-1.0)
     with pytest.raises(DomainConditionError):
-        check_syzygy(identity, field, point)
+        check_syzygy(identity, Neighbourhood(field, point))
 
 
 def test_unknown_identity_name():
     rng = np.random.default_rng(0)
     field = AnalyticField.random(rng)
     with pytest.raises(ValueError):
-        check_syzygy("syzygy_99", field, (0.0, 0.0, 0.0))
+        check_syzygy("syzygy_99", Neighbourhood(field, (0.0, 0.0, 0.0)))
 
 
 def near_zero_point(field, rng):
@@ -121,20 +121,15 @@ def near_zero_point(field, rng):
     return (t, 0.5 * (a + b), y)
 
 
-def clear_memos():
-    identities._neighbourhoods.cache_clear()
-
-
 def test_stencil_crossing_detected():
     """A point where psi_x ~ 0 puts the FD stencil across the branch cut;
-    the error comes again with the memos warm from the first try."""
+    the error comes again when the record is warm from the first try."""
     rng = np.random.default_rng(3)
     field = AnalyticField.random(rng)
-    near_zero = near_zero_point(field, rng)
-    clear_memos()
+    nb = Neighbourhood(field, near_zero_point(field, rng))
     for _ in ("cold", "warm"):
         with pytest.raises((StencilCrossingError, DomainConditionError)):
-            check_syzygy("commutator_xy", field, near_zero)
+            check_syzygy("commutator_xy", nb)
 
 
 @pytest.mark.parametrize("terms, error, match", [
@@ -145,21 +140,21 @@ def test_stencil_crossing_detected():
 ])
 def test_errors_recur_on_a_warm_record(terms, error, match):
     """An error met at a base point is raised by every check there, the
-    first with a fresh record and the next with the record warm."""
+    first with a fresh record and the next with the same record warm."""
     field = AnalyticField.from_terms(terms)
-    point = (0.0, 0.5 * math.pi, 0.0)
-    clear_memos()
     with np.errstate(over="ignore"):
+        nb = Neighbourhood(field, (0.0, 0.5 * math.pi, 0.0))
         for _ in ("cold", "warm"):
             for identity in ("commutator_tx", "representation_I002"):
                 with pytest.raises(error, match=match):
-                    check_syzygy(identity, field, point)
+                    check_syzygy(identity, nb)
 
 
-def test_warm_memo_keeps_skipped_points_skipped(tmp_path, monkeypatch):
-    """A second certify run, on memos that hold the first run's total
-    derivatives, skips the same near-zero points and writes the same
-    bytes: a memo hit never turns a skipped point into a residual row."""
+def test_repeat_certify_runs_skip_the_same_points(tmp_path, monkeypatch):
+    """Every identity skips a near-zero base point, and a second certify
+    run in the same process skips the same points and writes the same
+    bytes: no state left by the first run turns a skipped point into a
+    residual row."""
     admissible = run.sample_admissible_point
     calls = []
 
@@ -171,9 +166,8 @@ def test_warm_memo_keeps_skipped_points_skipped(tmp_path, monkeypatch):
 
     monkeypatch.setattr(run, "sample_admissible_point",
                         admissible_then_near_zero)
-    clear_memos()
     tables, skips = [], []
-    for tag in ("cold", "warm"):
+    for tag in ("first", "second"):
         skipped = Counter()
         run.certify_invariants(tmp_path / f"{tag}.csv", n_fields=1,
                                n_points=2, seed=3, skipped=skipped)
@@ -183,15 +177,10 @@ def test_warm_memo_keeps_skipped_points_skipped(tmp_path, monkeypatch):
     assert skips[0] == skips[1] == Counter(dict.fromkeys(IDENTITY_IDS, 1))
 
 
-def record(field, point):
-    """A fresh Neighbourhood of the base point."""
-    return Neighbourhood(field, tuple(map(float, point)))
-
-
 def test_invariant_derivative_linearity():
     rng = np.random.default_rng(4)
     field = AnalyticField.random(rng)
-    nb = record(field, sample_point(field, rng))
+    nb = Neighbourhood(field, sample_point(field, rng))
     i020 = invariant_function((0, 2, 0))
     i002 = invariant_function((0, 0, 2))
 
@@ -208,7 +197,7 @@ def test_invariant_derivative_linearity():
 def test_commutator_antisymmetry():
     rng = np.random.default_rng(5)
     field = AnalyticField.random(rng)
-    nb = record(field, sample_point(field, rng))
+    nb = Neighbourhood(field, sample_point(field, rng))
     i020 = invariant_function((0, 2, 0))
     ab = nb.commutator("x", "y", i020)
     ba = nb.commutator("y", "x", i020)
@@ -220,7 +209,7 @@ def test_second_derivative_symmetric_part_consistency():
     commutator (the two independent implementations agree)."""
     rng = np.random.default_rng(6)
     field = AnalyticField.random(rng)
-    nb = record(field, sample_point(field, rng))
+    nb = Neighbourhood(field, sample_point(field, rng))
     i020 = invariant_function((0, 2, 0))
     for d1, d2 in (("t", "x"), ("x", "y"), ("t", "y")):
         diff = (nb.second_derivative(i020, d1, d2)

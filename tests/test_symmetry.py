@@ -80,7 +80,7 @@ def test_transform_setup_scaling_properties(grid):
 
 def test_transform_setup_gauge_and_weight(grid):
     """Pure scaling plus constant gauge: psi' = s^3 (psi + g0)."""
-    cfg = base_config(grid).with_initial_psi(trig_field(grid))
+    cfg = base_config(grid, initial_psi=trig_field(grid))
     eps1, g0 = 0.5, 2.0
     out = transform_setup(gel(eps1=eps1, g=(g0,)), cfg)
     s = math.exp(-eps1)
@@ -91,7 +91,7 @@ def test_transform_setup_gauge_and_weight(grid):
 def test_pullback_inverts_pushforward(grid):
     """pullback(transform(psi0)) recovers psi0 to roundoff at t = 0."""
     psi0 = trig_field(grid)
-    cfg = base_config(grid).with_initial_psi(psi0)
+    cfg = base_config(grid, initial_psi=psi0)
     element = gel(eps1=0.6, eps3=0.9, f=(0.8, 0.2), g=(0.0,))
     out = transform_setup(element, cfg)
     back = pullback_field(element, out.initial_psi, grid, time=0.0, weight=-3)
