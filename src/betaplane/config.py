@@ -3,15 +3,17 @@
 Configurations use INI files (sections grid, model, dissipation, ic,
 output). One key table, ``_SCHEMA``, drives both the parser and the
 manifest echo: it names every key with its converter, in echo order.
-Parsing is strict: unknown keys and missing required keys are collected
-and reported together. A key the file leaves out takes the default of
-its dataclass field. dt may be the literal string "auto", which defers
-to the advective CFL rule at startup.
+Parsing is strict: unknown keys, missing required keys and unparsable
+or non-finite (nan, inf) values are collected and reported together. A
+key the file leaves out takes the default of its dataclass field. dt
+may be the literal string "auto", which defers to the advective CFL
+rule at startup.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
 import warnings
 from dataclasses import dataclass, field, replace
@@ -42,9 +44,9 @@ class IcSpec:
     def __post_init__(self):
         if self.shape not in IC_SHAPES:
             raise ConfigError(f"unknown ic shape {self.shape!r}")
-        if self.amplitude <= 0:
+        if not self.amplitude > 0:
             raise ConfigError("ic amplitude must be positive")
-        if self.k0 <= 0:
+        if not self.k0 > 0:
             raise ConfigError("ic k0 must be positive")
         if self.seed < 0:
             raise ConfigError("ic seed must be non-negative")
@@ -93,7 +95,7 @@ class RunConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
-        if self.dt is not None and self.dt <= 0:
+        if self.dt is not None and not self.dt > 0:
             raise ConfigError("dt must be positive or 'auto'")
         if self.initial_psi is not None and self.initial_psi.grid != self.grid:
             raise ConfigError("initial field does not match the grid")
@@ -105,20 +107,27 @@ class RunConfig:
                            mean_velocity=self.mean_velocity)
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {raw!r}")
+    return value
+
+
 def _dt(raw: str) -> float | None:
-    return None if raw.strip().lower() == "auto" else float(raw)
+    return None if raw.strip().lower() == "auto" else _finite(raw)
 
 
 # section -> key -> converter, in echo order. Section [model] holds the
 # RunConfig fields; every other section is the RunConfig field of its
 # name, and each key is the attribute of that name.
 _SCHEMA = {
-    "grid": {"nx": int, "ny": int, "lx": float, "ly": float},
-    "model": {"beta": float, "dt": _dt, "steps": int, "raw_gamma": float,
-              "raw_alpha": float, "mean_velocity": float},
-    "dissipation": {"kind": str, "n": int, "nu": float, "K": float},
-    "ic": {"shape": str, "k0": float, "p": float, "q": float,
-           "amplitude": float, "seed": int},
+    "grid": {"nx": int, "ny": int, "lx": _finite, "ly": _finite},
+    "model": {"beta": _finite, "dt": _dt, "steps": int, "raw_gamma": _finite,
+              "raw_alpha": _finite, "mean_velocity": _finite},
+    "dissipation": {"kind": str, "n": int, "nu": _finite, "K": _finite},
+    "ic": {"shape": str, "k0": _finite, "p": _finite, "q": _finite,
+           "amplitude": _finite, "seed": int},
     "output": {"snapshot_every": int, "spectrum_every": int, "out_dir": str},
 }
 _REQUIRED = {

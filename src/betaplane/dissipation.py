@@ -57,7 +57,7 @@ class DissipationSpec:
             raise ValueError(f"unknown dissipation kind {self.kind!r}")
         if self.kind in _NEEDS_N and self.n < 1:
             raise ValueError("dissipation order n must be >= 1")
-        if self.nu < 0 or self.K < 0:
+        if not (self.nu >= 0 and self.K >= 0):
             raise ValueError("nu and K must be non-negative")
 
 

@@ -42,7 +42,7 @@ class ModelParams:
     mean_velocity: float = 0.0
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not 0.0 <= self.raw_gamma < 1.0:
             raise ValueError("raw_gamma must lie in [0, 1)")

@@ -40,7 +40,7 @@ class Grid:
             raise GridConfigError(
                 f"grid must have even nx, ny >= 4, got {self.nx}x{self.ny}"
             )
-        if self.lx <= 0 or self.ly <= 0:
+        if not (self.lx > 0 and self.ly > 0):
             raise GridConfigError("domain lengths must be positive")
 
     @property

@@ -21,7 +21,7 @@ assert _HEADER.size == 36
 
 
 class SnapshotFormatError(ValueError):
-    pass
+    """A file that does not hold a valid BPF1 field; names the file."""
 
 
 def write_snapshot(path, f: RealField, time: float = 0.0) -> None:
@@ -46,4 +46,8 @@ def read_snapshot(path) -> tuple[RealField, float]:
             f"{path}: expected {expected} bytes for {nx}x{ny}, got {len(raw)}"
         )
     values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(nx, ny)
-    return RealField(Grid(nx, ny, lx, ly), values.astype(np.float64)), time
+    try:
+        field = RealField(Grid(nx, ny, lx, ly), values.astype(np.float64))
+    except ValueError as exc:  # a bad grid or non-finite values
+        raise SnapshotFormatError(f"{path}: {exc}") from exc
+    return field, time

@@ -230,6 +230,28 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", str(path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("model", "dt", "nan"),
+    ("ic", "amplitude", "nan"),
+    ("grid", "lx", "inf"),
+    ("model", "beta", "nan"),
+    ("dissipation", "nu", "nan"),
+])
+def test_non_finite_value_is_a_config_error(tmp_path, capsys, section, key,
+                                            value):
+    sections = {"grid": {"nx": "16", "ny": "16"}, "model": {"steps": "2"},
+                "dissipation": {"kind": "classical"}, "ic": {"k0": "4"}}
+    sections[section][key] = value
+    path = tmp_path / "bad.ini"
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == EXIT_CONFIG
+    assert f"{key!r} in [{section}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_exit_code(tmp_path):
     assert main(["run", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
 

@@ -21,6 +21,8 @@ from betaplane.config import (
     parse_config,
 )
 from betaplane.diagnostics import energy_spectrum
+from betaplane.dissipation import DissipationSpec
+from betaplane.dynamics import ModelParams
 from betaplane.grid import Grid
 
 MINIMAL = """
@@ -191,6 +193,22 @@ def test_ic_spec_validation():
         IcSpec(amplitude=0.0)
     with pytest.raises(ConfigError):
         OutputSpec(snapshot_every=-1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda nan: Grid(32, 32, nan, 1.0),
+    lambda nan: Grid(32, 32, 1.0, nan),
+    lambda nan: ModelParams(beta=0.0, dt=nan),
+    lambda nan: RunConfig(steps=1, dt=nan),
+    lambda nan: IcSpec(amplitude=nan),
+    lambda nan: IcSpec(k0=nan),
+    lambda nan: DissipationSpec("classical", nu=nan),
+    lambda nan: DissipationSpec("down_gradient_invariant", K=nan),
+], ids=["grid-lx", "grid-ly", "params-dt", "run-dt", "ic-amplitude", "ic-k0",
+        "dissipation-nu", "dissipation-K"])
+def test_nan_fails_positivity_checks(build):
+    with pytest.raises(ValueError):
+        build(float("nan"))
 
 
 # --- initial condition ---------------------------------------------------

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from betaplane.grid import Grid, RealField
+from betaplane.grid import Grid, GridConfigError, RealField
 from betaplane.snapshot import MAGIC, SnapshotFormatError, read_snapshot, write_snapshot
 
 
@@ -65,3 +65,27 @@ def test_truncated_header(tmp_path):
     path.write_bytes(b"BPF1\0\0")
     with pytest.raises(SnapshotFormatError):
         read_snapshot(path)
+
+
+@pytest.mark.parametrize("nx, ny", [(3, 4), (2, 2)])
+def test_bad_grid_header_names_file(tmp_path, nx, ny):
+    path = tmp_path / "grid.bpf"
+    path.write_bytes(struct.pack("<4sIIddd", MAGIC, nx, ny, 1.0, 1.0, 0.0)
+                     + bytes(8 * nx * ny))
+    with pytest.raises(SnapshotFormatError) as info:
+        read_snapshot(path)
+    assert str(path) in str(info.value)
+    assert isinstance(info.value.__cause__, GridConfigError)
+
+
+def test_non_finite_payload_names_file(tmp_path):
+    grid = Grid(4, 4, 1.0, 1.0)
+    path = tmp_path / "nan.bpf"
+    write_snapshot(path, RealField(grid, np.zeros(grid.shape)))
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = struct.pack("<d", float("nan"))
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotFormatError) as info:
+        read_snapshot(path)
+    assert str(path) in str(info.value)
+    assert type(info.value.__cause__) is ValueError
