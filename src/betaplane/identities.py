@@ -186,7 +186,7 @@ class Neighbourhood:
         return jet if jet is not None else self.field.jet(point, 2)
 
     def psi_x(self, point: Point) -> float:
-        return self.jet(point).values[0, 1, 0]
+        return self.jet(point)[0, 1, 0]
 
     def sign(self, point: Point) -> float:
         return math.copysign(1.0, self.psi_x(point))

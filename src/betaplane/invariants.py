@@ -33,6 +33,7 @@ from .jets import (
     JetPoly,
     Monomial,
     TimeFunction,
+    _positions,
     jp_add,
     jp_compile,
     jp_const,
@@ -156,16 +157,16 @@ def _boost_tables(order: int) -> tuple[CompiledPoly, np.ndarray]:
     """The boost cores of every alpha of one jet order as arrays.
 
     The coefficients of all cores are compiled together, in order. Row i
-    of ``slots`` holds the positions in Jet.vector of the psi_beta of the
-    i-th core from column 1 on, and -1 (the vector's trailing 1.0) in
-    column 0 and the padding, whose coefficient 0.0 stands in for the
-    sum's initial 0.0.
+    of ``slots`` holds the positions in Jet.vector (``_positions``) of
+    the psi_beta of the i-th core from column 1 on, and -1 (the vector's
+    trailing 1.0) in column 0 and the padding, whose coefficient 0.0
+    stands in for the sum's initial 0.0.
     """
-    indices = multi_indices(order)
-    cores = [_boost_core(alpha) for alpha in indices]
+    positions = _positions(order)
+    cores = [_boost_core(alpha) for alpha in positions]
     slots = np.full((len(cores), 1 + max(map(len, cores))), -1, dtype=np.intp)
     for row, core in enumerate(cores):
-        slots[row, 1 : len(core) + 1] = [indices.index(beta) for beta in core]
+        slots[row, 1 : len(core) + 1] = [positions[beta] for beta in core]
     return jp_compile(*(p for core in cores for p in core.values())), slots
 
 
@@ -184,25 +185,26 @@ def prolong_action(gel: GroupElement, z: Jet) -> Jet:
     Y = math.exp(-e1) * (y + gel.eps3)
 
     compiled, slots = _boost_tables(r)
-    f_jet = Jet(order=r, point=z.point, values={
-        alpha: f_derivs[alpha[0]] if alpha[1] == alpha[2] == 0 else 0.0
-        for alpha in multi_indices(r)
-    })
+    positions = _positions(r)
+    f_vector = np.zeros(len(positions) + 1)
+    f_vector[[positions[k, 0, 0] for k in range(r + 1)]] = f_derivs[: r + 1]
+    f_vector[-1] = 1.0
+    f_jet = Jet(r, z.point, f_vector)
     coefficients = np.zeros(slots.shape)
     coefficients[slots >= 0] = compiled.evaluate(f_jet)  # row by row
     products = coefficients * z.vector[slots]
     cores = np.add.accumulate(products, axis=1)[:, -1].tolist()
 
-    values = {}
-    for alpha, core in zip(multi_indices(r), cores):
-        a1, a2, a3 = alpha
+    values = []
+    for (a1, a2, a3), core in zip(positions, cores):
         if a2 == 0 and a3 == 1:
             core -= f_derivs[a1 + 1]
         elif a2 == 0 and a3 == 0:
             core += g_derivs[a1] - f_derivs[a1 + 1] * y
         weight = a2 + a3 - a1 - 3
-        values[alpha] = math.exp(weight * e1) * core
-    return Jet(order=r, point=(T, X, Y), values=values)
+        values.append(math.exp(weight * e1) * core)
+    values.append(1.0)
+    return Jet(r, (T, X, Y), np.array(values))
 
 
 # ---------------------------------------------------------------------------

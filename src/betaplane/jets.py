@@ -2,11 +2,12 @@
 
 A jet stores the streamfunction and all its partial derivatives up to a
 fixed order at one space-time point, indexed by multi-indices
-alpha = (a_t, a_x, a_y). Analytic fields (finite sums of trigonometric
-space-time modes) provide exact jets of any order and serve as the
-brute-force oracle throughout the verification suites. A jet, or a
-whole stencil of them, is built in one array pass and not memoised: the
-suites keep the jets of a base point in their own per-point records.
+alpha = (a_t, a_x, a_y), in one read-only array read through one
+alpha -> position table per order. Analytic fields (finite sums of
+trigonometric space-time modes) provide exact jets of any order and
+serve as the brute-force oracle throughout the verification suites. A
+jet, or a whole stencil of them, is built in one array pass and not
+memoised: the suites keep the jets of a base point in their own records.
 
 The module also implements differential polynomials on jet coordinates
 (JetPoly): linear combinations of monomials in the psi_alpha with float
@@ -21,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -56,32 +56,36 @@ def multi_indices(order: int) -> list[Alpha]:
     return list(_graded_indices(order))
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=MAX_JET_ORDER + 1)
+def _positions(order: int) -> dict[Alpha, int]:
+    """alpha -> its position in multi_indices(order); shared, never altered."""
+    return {alpha: i for i, alpha in enumerate(_graded_indices(order))}
+
+
+@dataclass(frozen=True, eq=False)
 class Jet:
-    """Values psi_alpha for all |alpha| <= order at one point (t, x, y)."""
+    """psi_alpha for all |alpha| <= order at one point (t, x, y): ``vector``
+    lists them in multi_indices(order) order, then a padding 1.0; read-only."""
 
     order: int
     point: tuple[float, float, float]
-    values: Mapping[Alpha, float]
+    vector: np.ndarray
 
     def __post_init__(self):
-        for alpha in _graded_indices(self.order):
-            if alpha not in self.values:
-                raise ValueError(f"jet is missing entry {alpha}")
-        if not all(math.isfinite(v) for v in self.values.values()):
+        positions = _positions(self.order)
+        entries = self.vector.tolist()
+        if len(entries) != len(positions) + 1 or entries[-1] != 1.0:
+            raise ValueError(f"a jet of order {self.order} needs "
+                             f"{len(positions)} entries and a padding 1.0")
+        if not all(map(math.isfinite, entries)):
             raise ValueError("jet contains non-finite values")
-
-    @functools.cached_property
-    def vector(self) -> np.ndarray:
-        """psi_alpha in multi_indices(order) order, then a padding 1.0;
-        read-only."""
-        values = [self.values[a] for a in _graded_indices(self.order)]
-        values.append(1.0)
-        return _read_only(np.array(values))
+        self.vector.flags.writeable = False
+        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_positions", positions)
 
     def __getitem__(self, alpha: Alpha) -> float:
         try:
-            return self.values[alpha]
+            return self._entries[self._positions[alpha]]
         except KeyError:
             raise JetOrderError(
                 f"jet of order {self.order} has no entry {alpha}"
@@ -178,9 +182,7 @@ class AnalyticField:
 
 def analytic_jet(field: AnalyticField, point, order: int) -> Jet:
     """Exact jet of an analytic field; order is capped at MAX_JET_ORDER.
-
-    The returned jet's values are read-only.
-    """
+    Its vector is read-only, as every jet's."""
     _check_order(order)
     (jet,) = _exact_jets(field, (tuple(float(v) for v in point),), order)
     if jet is None:
@@ -241,25 +243,10 @@ def _exact_jets(field: AnalyticField, points, order: int) -> list[Jet | None]:
     np.multiply(amplitudes, sines.reshape(args.shape).take(_grades(order), axis=2),
                 out=products[:, 1:])
     values = np.add.accumulate(products, axis=1)[:, -1]
-    vectors = _read_only(np.concatenate(
-        (values, np.ones((len(points), 1))), axis=1))
+    vectors = np.concatenate((values, np.ones((len(points), 1))), axis=1)
     finite = np.isfinite(values).all(axis=1).tolist()
-    indices = _graded_indices(order)
-    jets: list[Jet | None] = []
-    for point, listed, vector, ok in zip(points, values.tolist(), vectors,
-                                         finite):
-        if not ok:
-            jets.append(None)
-            continue
-        jet = object.__new__(Jet)
-        # complete by construction, so Jet.__post_init__'s checks are skipped
-        jet.__dict__.update(
-            order=order, point=point,
-            values=MappingProxyType(dict(zip(indices, listed))),
-            vector=vector,
-        )
-        jets.append(jet)
-    return jets
+    return [Jet(order, point, vector) if ok else None
+            for point, vector, ok in zip(points, vectors, finite)]
 
 
 @dataclass(frozen=True)
@@ -417,8 +404,9 @@ class CompiledPoly:
     per-monomial loop.
 
     Row p of ``coeffs`` holds the coefficients of polynomial p, and
-    ``slots[k, p, m]`` the position in ``Jet.vector`` of the k-th factor
-    of its monomial m, padded with -1 (the vector's trailing 1.0).
+    ``slots[k, p, m]`` the position in ``Jet.vector`` (``_positions``)
+    of the k-th factor of its monomial m, padded with -1 (the vector's
+    trailing 1.0).
     Column 0 is a zero monomial standing in for jp_eval's initial 0.0;
     shorter polynomials end in zero monomials, and adding 0.0 to a sum
     that started from +0.0 leaves it unchanged.
@@ -444,7 +432,7 @@ class CompiledPoly:
 
 def jp_compile(*polys: JetPoly) -> CompiledPoly:
     """Compile polynomials that are evaluated together on many jets."""
-    slot = {alpha: i for i, alpha in enumerate(_graded_indices(MAX_JET_ORDER))}
+    slot = _positions(MAX_JET_ORDER)
     width = max((len(mono) for p in polys for mono in p), default=0)
     length = 1 + max(map(len, polys), default=0)
     coeffs = np.zeros((len(polys), length))

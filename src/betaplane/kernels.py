@@ -4,6 +4,8 @@ The Arakawa bracket is the dominant per-step cost besides the FFTs, so
 it gets an ``@njit`` loop kernel. The numpy fallback reads the stencil
 neighbours as slices of wrap-padded copies and is selected via
 BETAPLANE_NO_NUMBA=1 or when numba is missing (see betaplane._accel).
+Bit-identity of the two paths is checked only where numba is installed;
+without it, only the uncompiled loops are checked against numpy.
 """
 
 from __future__ import annotations

@@ -2,12 +2,15 @@
 and prints a single PASS/FAIL line.
 
 The slow decaying-turbulence runs (criteria 7 and 8) share a
-module-scoped fixture so the three N = 256 simulations execute once.
+module-scoped fixture so the three N = 256 simulations execute once,
+two at a time in worker processes.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -284,11 +287,20 @@ def _decay_run(seed):
     return growth, slope
 
 
-@pytest.fixture(scope="module")
-def decay_runs():
+def _quiet_decay_run(seed):
+    """_decay_run in a worker process, its RuntimeWarnings ignored."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return {seed: _decay_run(seed) for seed in DECAY_SEEDS}
+        return _decay_run(seed)
+
+
+@pytest.fixture(scope="module")
+def decay_runs():
+    """The decay runs of all seeds, two at a time: each is independent
+    and deterministic, so its result does not depend on the worker."""
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+        return dict(zip(DECAY_SEEDS, pool.map(_quiet_decay_run, DECAY_SEEDS)))
 
 
 def test_criterion_7_spectrum_slope(decay_runs):

@@ -6,7 +6,6 @@ from __future__ import annotations
 import gc
 import weakref
 from collections import Counter
-from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -186,10 +185,10 @@ def _jp_eval_values(z):
 def _scalar_jets(field, points, order):
     """The jets from one scalar derivative call per entry."""
     return [
-        Jet(order=order, point=point, values=MappingProxyType({
-            alpha: field.derivative(alpha, point)
-            for alpha in multi_indices(order)
-        }))
+        Jet(order, point, np.array([
+            *(field.derivative(alpha, point) for alpha in multi_indices(order)),
+            1.0,
+        ]))
         for point in points
     ]
 

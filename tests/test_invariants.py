@@ -36,6 +36,12 @@ from betaplane.jets import (
 POINT = (0.3, 0.9, -0.4)
 
 
+def jet_of(order, point, values):
+    """The jet with the given psi_alpha, from a mapping of every alpha."""
+    entries = [values[alpha] for alpha in multi_indices(order)]
+    return Jet(order, point, np.array([*entries, 1.0]))
+
+
 def random_group_element(rng, max_eps1=2.0, degree=4):
     return GroupElement(
         eps1=rng.uniform(-max_eps1, max_eps1),
@@ -137,7 +143,7 @@ def prolonged_digest(seed, orders=(3, 5, 6, 8), per_order=25):
             values = rng.uniform(-1.0, 1.0, size=len(indices)).tolist()
             if i % 4 == 0:
                 values = [v if v > 0.0 and i else -0.0 for v in values]
-            z = Jet(order=order, point=point, values=dict(zip(indices, values)))
+            z = Jet(order, point, np.array([*values, 1.0]))
             gel = random_group_element(rng) if i % 4 else GroupElement.identity()
             gz = prolong_action(gel, z)
             packed = np.array(gz.point + tuple(gz[a] for a in indices))
@@ -162,7 +168,7 @@ def test_prolonged_action_bit_identical(seed):
 
 def test_prolong_action_order_cap():
     indices = multi_indices(MAX_JET_ORDER + 1)
-    z = Jet(order=MAX_JET_ORDER + 1, point=POINT, values=dict.fromkeys(indices, 1.0))
+    z = Jet(MAX_JET_ORDER + 1, POINT, np.ones(len(indices) + 1))
     with pytest.raises(JetOrderError):
         prolong_action(GroupElement.identity(), z)
 
@@ -174,7 +180,7 @@ def test_moving_frame_normalization_conditions():
     for _ in range(20):
         z = admissible_jet(rng)
         iz = invariantize(z)
-        scale = max(abs(v) for v in iz.values.values())
+        scale = max(abs(iz[alpha]) for alpha in multi_indices(iz.order))
         tol = 1e-10 * (1.0 + scale)
         assert abs(abs(iz[(0, 1, 0)]) - 1.0) <= tol
         for alpha in multi_indices(z.order - 1):
@@ -244,13 +250,13 @@ def test_jet_order_shortfall():
 def forced_jet(field, point, beta, order=4):
     """Jet with psi_txx overridden so the vorticity equation holds."""
     z = analytic_jet(field, point, order)
-    values = dict(z.values)
+    values = {alpha: z[alpha] for alpha in multi_indices(order)}
     psi_x, psi_y = z[(0, 1, 0)], z[(0, 0, 1)]
     zeta_x = z[(0, 3, 0)] + z[(0, 1, 2)]
     zeta_y = z[(0, 2, 1)] + z[(0, 0, 3)]
     target_zeta_t = psi_y * zeta_x - psi_x * zeta_y - beta * psi_x
     values[(1, 2, 0)] = target_zeta_t - z[(1, 0, 2)]
-    return Jet(order=order, point=z.point, values=values)
+    return jet_of(order, z.point, values)
 
 
 def test_representation_residual_zero_on_solutions():
@@ -293,12 +299,12 @@ def test_functional_independence_proxy():
     h = 1e-6
     jac = np.zeros((4, 4))
     for j, coord in enumerate(coords):
-        vp = dict(z.values)
-        vm = dict(z.values)
+        vp = {alpha: z[alpha] for alpha in multi_indices(z.order)}
+        vm = dict(vp)
         vp[coord] += h
         vm[coord] -= h
-        zp = Jet(order=z.order, point=z.point, values=vp)
-        zm = Jet(order=z.order, point=z.point, values=vm)
+        zp = jet_of(z.order, z.point, vp)
+        zm = jet_of(z.order, z.point, vm)
         for i, alpha in enumerate(alphas):
             jac[i, j] = (
                 normalized_invariant(zp, alpha) - normalized_invariant(zm, alpha)

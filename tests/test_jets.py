@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import importlib
 import math
+import pathlib
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -126,12 +128,13 @@ def test_jet_contains_all_indices(field):
                         for alpha in multi_indices(order)]
                 got = [jet[alpha] for alpha in multi_indices(order)]
                 assert all(map(same_float, got, want)), (fld, point, order)
-                assert len(jet.values) == len(want)
+                assert len(jet.vector) == len(want) + 1
                 assert jet.vector.tolist() == [*want, 1.0]
                 assert not jet.vector.flags.writeable
     jet = analytic_jet(field, POINT, 4)
-    with pytest.raises(JetOrderError):
-        jet[(5, 0, 0)]
+    for alpha in ((5, 0, 0), (0, MAX_JET_ORDER + 1, 0)):
+        with pytest.raises(JetOrderError):
+            jet[alpha]
 
 
 def test_batch_jets_equal_single_jets(field):
@@ -150,9 +153,9 @@ def test_batch_jets_equal_single_jets(field):
                     single = analytic_jet(fld, point, order)
                     assert jet.point == point and jet.order == order
                     assert np.array_equal(jet.vector, single.vector)
-                    assert all(map(same_float, jet.values.values(),
-                                   single.values.values()))
-                    assert list(jet.values) == list(single.values)
+                    assert all(map(same_float, jet.vector.tolist(),
+                                   single.vector.tolist()))
+                    assert len(jet.vector) == len(single.vector)
                     assert not jet.vector.flags.writeable
 
 
@@ -173,14 +176,43 @@ def test_batch_marks_non_finite_jets():
 def test_jet_values_are_read_only(field):
     jet = analytic_jet(field, POINT, 2)
     with pytest.raises(TypeError):
-        jet.values[(0, 0, 0)] = 0.0
+        jet[(0, 0, 0)] = 0.0
     assert jet[(0, 0, 0)] == field.derivative((0, 0, 0), POINT)
-    built = Jet(order=1, point=POINT, values=dict(zip(multi_indices(1),
-                                                      (1.0, 2.0, 3.0, 4.0))))
+    given = np.array([1.0, 2.0, 3.0, 4.0, 1.0])
+    built = Jet(order=1, point=POINT, vector=given)
+    assert built.vector is given
     for vector in (jet.vector, built.vector):
         with pytest.raises(ValueError):
             vector[0] = 0.0
     assert built.vector.tolist() == [1.0, 2.0, 3.0, 4.0, 1.0]
+    assert [built[alpha] for alpha in multi_indices(1)] == [1.0, 2.0, 3.0, 4.0]
+    assert type(built[(0, 1, 0)]) is float
+
+
+@pytest.mark.parametrize("vector", [
+    [1.0, 2.0, 3.0, 4.0],  # no padding
+    [1.0, 2.0, 3.0, 4.0, 5.0, 1.0],  # an order-2 jet's first entries
+    [1.0, 2.0, 3.0, 4.0, 0.0],  # padding other than 1.0
+])
+def test_jet_rejects_a_wrong_length(vector):
+    with pytest.raises(ValueError, match="order 1 needs 4 entries"):
+        Jet(order=1, point=POINT, vector=np.array(vector))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_jet_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        Jet(order=1, point=POINT, vector=np.array([1.0, bad, 3.0, 4.0, 1.0]))
+
+
+def test_no_jet_is_built_around_its_constructor():
+    """No module reads a jet's entries other than through the jet, or
+    makes a jet without Jet's checks."""
+    bypass = re.compile(r"object\.__new__|\b(?:z|jet|\w+_jet|jet\([^)]*\))"
+                        r"\.values\b")
+    for path in pathlib.Path(betaplane.__file__).parent.glob("*.py"):
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            assert not bypass.search(line), f"{path.name}:{number}: {line}"
 
 
 # The functools caches allowed no bound, each with the key domain that
