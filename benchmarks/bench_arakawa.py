@@ -1,20 +1,22 @@
-"""Benchmark the numba Arakawa kernel against the numpy fallback.
+"""Time the Arakawa bracket at a few grid sizes.
 
 Usage: python benchmarks/bench_arakawa.py [N ...]
 
-Both implementations are timed in the same process; the numba path is
-warmed once so compilation is excluded. Set BETAPLANE_NO_NUMBA=1 to
-confirm the fallback is what the package selects without numba.
+Prints the minimum over 20 calls of ``kernels.arakawa`` on random N x N
+fields. Runs from a plain checkout: the package is imported from src/.
 """
 
 from __future__ import annotations
 
 import sys
 import timeit
+from pathlib import Path
 
 import numpy as np
 
-from betaplane.kernels import NUMBA_ENABLED, arakawa_numba, arakawa_numpy
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from betaplane.kernels import arakawa  # noqa: E402
 
 
 def bench(n: int, repeats: int = 20) -> None:
@@ -23,24 +25,9 @@ def bench(n: int, repeats: int = 20) -> None:
     b = rng.standard_normal((n, n))
     dx = dy = 2.0 * np.pi / n
 
-    t_numpy = min(
-        timeit.repeat(lambda: arakawa_numpy(a, b, dx, dy), number=1,
-                      repeat=repeats)
-    )
-    line = f"N={n:5d}  numpy {t_numpy * 1e3:8.3f} ms"
-    if NUMBA_ENABLED:
-        arakawa_numba(a, b, dx, dy)  # warm-up/compile
-        t_numba = min(
-            timeit.repeat(lambda: arakawa_numba(a, b, dx, dy), number=1,
-                          repeat=repeats)
-        )
-        diff = np.abs(
-            arakawa_numba(a, b, dx, dy) - arakawa_numpy(a, b, dx, dy)
-        ).max()
-        line += f"  numba {t_numba * 1e3:8.3f} ms  speedup {t_numpy / t_numba:5.2f}x  max|diff| {diff:.2e}"
-    else:
-        line += "  (numba disabled)"
-    print(line)
+    t = min(timeit.repeat(lambda: arakawa(a, b, dx, dy), number=1,
+                          repeat=repeats))
+    print(f"N={n:5d}  arakawa {t * 1e3:8.3f} ms")
 
 
 if __name__ == "__main__":

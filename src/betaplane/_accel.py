@@ -1,23 +1,7 @@
-"""Numba acceleration switch.
+"""Kept only for the env line of ``perfbench/run.py``, which reads
+``NUMBA_ENABLED``; nothing in the package imports this module.
 
-Hot stencil kernels carry an ``@njit`` variant. Set BETAPLANE_NO_NUMBA=1
-to force the pure-numpy fallback (also used automatically when numba is
-not installed). The flag is read once at import time so a process never
-mixes code paths.
+The Arakawa bracket has one implementation, ``kernels.arakawa``.
 """
 
-from __future__ import annotations
-
-import os
-
 NUMBA_ENABLED = False
-njit = None
-
-if os.environ.get("BETAPLANE_NO_NUMBA", "0") not in ("1", "true", "yes"):
-    try:
-        from numba import njit  # noqa: F401
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        njit = None
-        NUMBA_ENABLED = False

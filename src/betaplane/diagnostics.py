@@ -33,7 +33,6 @@ class DiagnosticsRecord:
     enstrophy: float
     circulation: float
     x_momentum: float
-    spectrum: SpectrumResult | None = None
 
 
 class SlopeFitError(ValueError):

@@ -115,9 +115,10 @@ class AnalyticField:
         return cls(tuple(tuple(float(v) for v in t) for t in terms))
 
     @classmethod
-    def random(cls, rng: np.random.Generator, n_terms: int = 4) -> "AnalyticField":
+    def random(cls, rng: np.random.Generator) -> "AnalyticField":
+        """Four terms, each of random amplitude, frequencies and phase."""
         terms = []
-        for _ in range(n_terms):
+        for _ in range(4):
             a = rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0])
             om, ka, la = rng.uniform(0.3, 1.2, size=3) * rng.choice(
                 [-1.0, 1.0], size=3

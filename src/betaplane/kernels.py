@@ -1,21 +1,16 @@
-"""Hot stencil kernels with numba and pure-numpy implementations.
+"""The Arakawa bracket, the dominant per-step cost besides the FFTs.
 
-The Arakawa bracket is the dominant per-step cost besides the FFTs, so
-it gets an ``@njit`` loop kernel. The numpy fallback reads the stencil
-neighbours as slices of wrap-padded copies and is selected via
-BETAPLANE_NO_NUMBA=1 or when numba is missing (see betaplane._accel).
-Bit-identity of the two paths is checked only where numba is installed;
-without it, only the uncompiled loops are checked against numpy.
+It reads the stencil neighbours as slices of wrap-padded copies;
+tests/test_kernels.py checks it bit for bit against an ``np.roll`` form
+and a plain-Python loop form of the same formula.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, njit
 
-
-def arakawa_numpy(a: np.ndarray, b: np.ndarray, dx: float, dy: float) -> np.ndarray:
+def arakawa(a: np.ndarray, b: np.ndarray, dx: float, dy: float) -> np.ndarray:
     """Nine-point Arakawa Jacobian J(a, b) = a_x b_y - a_y b_x.
 
     Average of the three second-order forms (J1 + J2 + J3) / 3, which
@@ -51,39 +46,3 @@ def arakawa_numpy(a: np.ndarray, b: np.ndarray, dx: float, dy: float) -> np.ndar
     )
 
     return (j1 + j2 + j3) / (12.0 * dx * dy)
-
-
-def _arakawa_loops(a, b, dx, dy):  # pragma: no cover - numba-compiled twin below
-    nx, ny = a.shape
-    out = np.empty_like(a)
-    for i in range(nx):
-        ip = i + 1 if i + 1 < nx else 0
-        im = i - 1 if i >= 1 else nx - 1
-        for j in range(ny):
-            jp = j + 1 if j + 1 < ny else 0
-            jm = j - 1 if j >= 1 else ny - 1
-            j1 = (a[ip, j] - a[im, j]) * (b[i, jp] - b[i, jm]) - (
-                a[i, jp] - a[i, jm]
-            ) * (b[ip, j] - b[im, j])
-            j2 = (
-                a[ip, j] * (b[ip, jp] - b[ip, jm])
-                - a[im, j] * (b[im, jp] - b[im, jm])
-                - a[i, jp] * (b[ip, jp] - b[im, jp])
-                + a[i, jm] * (b[ip, jm] - b[im, jm])
-            )
-            j3 = (
-                a[ip, jp] * (b[i, jp] - b[ip, j])
-                - a[im, jm] * (b[im, j] - b[i, jm])
-                - a[im, jp] * (b[i, jp] - b[im, j])
-                + a[ip, jm] * (b[ip, j] - b[i, jm])
-            )
-            out[i, j] = (j1 + j2 + j3) / (12.0 * dx * dy)
-    return out
-
-
-if NUMBA_ENABLED:
-    arakawa_numba = njit(cache=True)(_arakawa_loops)
-    arakawa = arakawa_numba
-else:
-    arakawa_numba = None
-    arakawa = arakawa_numpy

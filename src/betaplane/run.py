@@ -265,21 +265,20 @@ def reference_budget_field(grid: Grid) -> RealField:
     return RealField(grid, psi - psi.mean())
 
 
-def equivariance_report(cfg: RunConfig, gel: GroupElement, path=None,
-                        steps: int | None = None) -> EquivarianceReport:
-    """Run the paired-experiment comparison and optionally persist it."""
-    report = equivariance_experiment(cfg, gel, steps)
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eps1", "eps2", "eps3", "boost_velocity",
-                             "gauge", "spec", "field_rel_err",
-                             "spectrum_rms_log_err"])
-            writer.writerow([
-                _fmt(gel.eps1), _fmt(gel.eps2), _fmt(gel.eps3),
-                _fmt(gel.f.derivative(1, 0.0)), _fmt(gel.g(0.0)),
-                cfg.dissipation.kind,
-                _fmt(report.field_rel_err),
-                _fmt(report.spectrum_rms_log_err),
-            ])
+def equivariance_report(cfg: RunConfig, gel: GroupElement,
+                        path) -> EquivarianceReport:
+    """Run the paired-experiment comparison and write it to path."""
+    report = equivariance_experiment(cfg, gel)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["eps1", "eps2", "eps3", "boost_velocity",
+                         "gauge", "spec", "field_rel_err",
+                         "spectrum_rms_log_err"])
+        writer.writerow([
+            _fmt(gel.eps1), _fmt(gel.eps2), _fmt(gel.eps3),
+            _fmt(gel.f.derivative(1, 0.0)), _fmt(gel.g(0.0)),
+            cfg.dissipation.kind,
+            _fmt(report.field_rel_err),
+            _fmt(report.spectrum_rms_log_err),
+        ])
     return report

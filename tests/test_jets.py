@@ -103,7 +103,9 @@ def derivative_test_fields(field):
     """Random fields of 1-5 terms and fields with negative and zero
     frequencies, at points that include the origin."""
     rng = np.random.default_rng(7)
-    fields = [field, *(AnalyticField.random(rng, n_terms=n) for n in (1, 3, 5))]
+    terms = [t for _ in range(3) for t in AnalyticField.random(rng).terms]
+    fields = [field, *(AnalyticField(tuple(terms[i:j]))
+                       for i, j in ((0, 1), (1, 4), (4, 9)))]
     fields.append(AnalyticField.from_terms([
         (-0.8, -1.1, 0.6, -0.4, 2.0), (0.5, 0.0, -0.9, 1.2, -0.3),
     ]))

@@ -49,11 +49,12 @@ def test_star_import_binds_every_public_name():
         assert namespace[name] is getattr(betaplane, name)
 
 
-def _fresh(code: str) -> str:
-    """What code prints in a new interpreter importing this betaplane;
-    the test process has already imported every submodule."""
+def _fresh(code: str, *path: Path) -> str:
+    """What code prints in a new interpreter importing this betaplane,
+    with path put before it on PYTHONPATH; the test process has already
+    imported every submodule."""
     src = str(Path(betaplane.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([*map(str, path), src])}
     return subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=env).stdout
 
@@ -78,7 +79,8 @@ def test_unknown_attribute_names_package_and_attribute():
 
 
 # The start of ``betaplane run`` and two steps, then which of the
-# certification and orchestration layers the process has loaded.
+# certification and orchestration layers, and of the retired numba
+# switch ``_accel``, the process has loaded.
 SETUP = """
 import sys
 import betaplane
@@ -93,10 +95,16 @@ state = betaplane.integrate(spectral.laplacian(psi), cfg.model_params(dt),
 assert state.step == 2
 print(" ".join(name for name in ("jets", "invariants", "identities",
                                  "conservation", "symmetry", "run",
-                                 "diagnostics", "snapshot", "cli")
+                                 "diagnostics", "snapshot", "cli",
+                                 "_accel")
                if f"betaplane.{name}" in sys.modules))
 """
 
 
-def test_solver_setup_loads_only_the_solver_core():
-    assert _fresh(SETUP).split() == []
+def test_solver_setup_loads_only_the_solver_core(tmp_path):
+    """Also with a numba on the path that fails on import: the solver
+    has one Arakawa bracket and never tries numba."""
+    (tmp_path / "numba").mkdir()
+    (tmp_path / "numba" / "__init__.py").write_text(
+        "raise RuntimeError('numba imported')\n")
+    assert _fresh(SETUP, tmp_path).split() == []
