@@ -36,11 +36,14 @@ from .run import (
     EXIT_OK,
     certify_conservation,
     certify_invariants,
-    equivariance_report,
     run_experiment,
 )
 from .snapshot import write_snapshot
-from .symmetry import ExperimentInstabilityError, HarnessDomainError
+from .symmetry import (
+    ExperimentInstabilityError,
+    HarnessDomainError,
+    equivariance_report,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,7 @@ import configparser
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,17 +88,12 @@ class RunConfig:
     mean_velocity: float = 0.0
     ic: IcSpec = IcSpec()
     output: OutputSpec = OutputSpec()
-    # harness hook: a transformed experiment carries its start field
-    # explicitly instead of regenerating from the seed
-    initial_psi: RealField | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
         if self.dt is not None and not self.dt > 0:
             raise ConfigError("dt must be positive or 'auto'")
-        if self.initial_psi is not None and self.initial_psi.grid != self.grid:
-            raise ConfigError("initial field does not match the grid")
 
     def model_params(self, dt: float) -> ModelParams:
         """The stepper's constants for this run at the resolved step dt."""

@@ -1,5 +1,6 @@
 """Experiment orchestration and certification report emitters.
 
+resolve_start resolves a run's start field and dt, for every run.
 run_experiment executes a configured simulation and writes its artifact
 set: a per-step diagnostics CSV, spectrum CSVs and binary field
 snapshots at the configured cadences, and a JSON manifest echoing a
@@ -41,11 +42,9 @@ from .identities import (
     StencilCrossingError,
     check_syzygy,
 )
-from .invariants import GroupElement
 from .jets import AnalyticField, TimeFunction
 from .snapshot import write_snapshot
 from .spectral import laplacian
-from .symmetry import EquivarianceReport, equivariance_experiment
 
 EXIT_OK = 0
 EXIT_INSTABILITY = 1
@@ -73,6 +72,18 @@ def _write_spectrum_csv(path, psi: RealField) -> None:
             writer.writerow([int(m), _fmt(e)])
 
 
+def resolve_start(cfg: RunConfig) -> tuple[RealField, float]:
+    """The seeded start field, then dt (cfg.dt, or its auto CFL step).
+
+    Both callees are looked up in this module's globals, so patching
+    run.generate_initial_condition or run.auto_dt (as
+    perfbench/make_reference.py does) reaches every run.
+    """
+    psi0 = generate_initial_condition(cfg)
+    dt = cfg.dt if cfg.dt is not None else auto_dt(psi0)
+    return psi0, dt
+
+
 def run_experiment(cfg: RunConfig, out_dir=None) -> RunResult:
     """Run the configured simulation, writing artifacts as it goes.
 
@@ -84,10 +95,7 @@ def run_experiment(cfg: RunConfig, out_dir=None) -> RunResult:
     out.mkdir(parents=True, exist_ok=True)
     t_wall = _time.perf_counter()
 
-    psi0 = cfg.initial_psi
-    if psi0 is None:
-        psi0 = generate_initial_condition(cfg)
-    dt = cfg.dt if cfg.dt is not None else auto_dt(psi0)
+    psi0, dt = resolve_start(cfg)
     params = cfg.model_params(dt)
     zeta0 = laplacian(psi0)
 
@@ -263,22 +271,3 @@ def reference_budget_field(grid: Grid) -> RealField:
         + 0.3 * np.cos(2.0 * X + 0.7)
     )
     return RealField(grid, psi - psi.mean())
-
-
-def equivariance_report(cfg: RunConfig, gel: GroupElement,
-                        path) -> EquivarianceReport:
-    """Run the paired-experiment comparison and write it to path."""
-    report = equivariance_experiment(cfg, gel)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eps1", "eps2", "eps3", "boost_velocity",
-                         "gauge", "spec", "field_rel_err",
-                         "spectrum_rms_log_err"])
-        writer.writerow([
-            _fmt(gel.eps1), _fmt(gel.eps2), _fmt(gel.eps3),
-            _fmt(gel.f.derivative(1, 0.0)), _fmt(gel.g(0.0)),
-            cfg.dissipation.kind,
-            _fmt(report.field_rel_err),
-            _fmt(report.spectrum_rms_log_err),
-        ])
-    return report

@@ -7,21 +7,24 @@ solution off the co-moving grid; linear ones reduce to a constant mean
 velocity plus a spectral shift at comparison time, which keeps both the
 pushforward and the pullback exact on band-limited fields.
 
-The experiment runs a reference configuration and its transformed
-sibling for the same number of steps, pulls the transformed vorticity
-back and compares fields and shell spectra.
+The experiment runs a reference configuration (started by
+run.resolve_start) and its transformed sibling for the same number of
+steps, pulls the transformed vorticity back and compares fields and
+shell spectra; equivariance_report writes the comparison as a CSV row.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, replace
 import math
 
-from .config import RunConfig, generate_initial_condition
+from .config import RunConfig
 from .diagnostics import energy_spectrum
-from .dynamics import InstabilityError, auto_dt, integrate
+from .dynamics import InstabilityError, integrate
 from .grid import Grid, RealField
 from .invariants import GroupElement
+from .run import _fmt, resolve_start
 from .spectral import laplacian, spectral_shift
 
 import numpy as np
@@ -57,16 +60,10 @@ def _check_harness(gel: GroupElement) -> tuple[float, float]:
     return gel.f.derivative(0, 0.0), gel.f.derivative(1, 0.0)
 
 
-def _resolve_reference(cfg: RunConfig) -> tuple[RealField, float]:
-    psi0 = cfg.initial_psi
-    if psi0 is None:
-        psi0 = generate_initial_condition(cfg)
-    dt = cfg.dt if cfg.dt is not None else auto_dt(psi0)
-    return psi0, dt
-
-
-def transform_setup(gel: GroupElement, cfg: RunConfig) -> RunConfig:
-    """Configuration whose solution is the transformed reference solution.
+def transform_setup(gel: GroupElement, cfg: RunConfig,
+                    psi0: RealField) -> tuple[RunConfig, RealField]:
+    """Configuration and start field of the transformed reference run,
+    from the reference cfg (dt resolved) and its start field psi0.
 
     Grid lengths scale by e^{-eps1}, dt by e^{eps1}, step count stays;
     the initial streamfunction picks up the weight e^{-3 eps1}, the
@@ -75,20 +72,14 @@ def transform_setup(gel: GroupElement, cfg: RunConfig) -> RunConfig:
     e^{-2 eps1}*(u0 + f').
     """
     f0, c = _check_harness(gel)
-    psi0, dt = _resolve_reference(cfg)
     scale = math.exp(-gel.eps1)
     grid_b = Grid(cfg.grid.nx, cfg.grid.ny, cfg.grid.lx * scale,
                   cfg.grid.ly * scale)
     shifted = spectral_shift(psi0, f0, gel.eps3)
     values_b = scale**3 * (shifted.values + gel.g(0.0))
-    psi_b = RealField(grid_b, values_b)
-    return replace(
-        cfg,
-        grid=grid_b,
-        dt=dt / scale,
-        mean_velocity=scale**2 * (cfg.mean_velocity + c),
-        initial_psi=psi_b,
-    )
+    cfg_b = replace(cfg, grid=grid_b, dt=cfg.dt / scale,
+                    mean_velocity=scale**2 * (cfg.mean_velocity + c))
+    return cfg_b, RealField(grid_b, values_b)
 
 
 def pullback_field(gel: GroupElement, field: RealField, grid: Grid,
@@ -114,31 +105,29 @@ def _normalized_log_spectrum(psi: RealField, n_use: int) -> np.ndarray:
     return np.log10(shells[1:n_use] / shells[0])
 
 
-def equivariance_experiment(cfg: RunConfig, gel: GroupElement,
-                            steps: int | None = None) -> EquivarianceReport:
+def equivariance_experiment(cfg: RunConfig,
+                            gel: GroupElement) -> EquivarianceReport:
     """Run reference and transformed setups, pull back, compare.
 
     Reports the relative L2 error of the pulled-back final vorticity and
     the RMS difference of log10 shell spectra (each normalized by its
     shell-1 value) over shells 2..N/4.
     """
-    if steps is None:
-        steps = cfg.steps
-    psi0, dt = _resolve_reference(cfg)
-    cfg = replace(cfg, initial_psi=psi0, dt=dt)
-    cfg_b = transform_setup(gel, cfg)
+    psi0, dt = resolve_start(cfg)
+    cfg = replace(cfg, dt=dt)
+    cfg_b, psi_b = transform_setup(gel, cfg, psi0)
 
-    def run(which: str, setup: RunConfig):
-        zeta0 = laplacian(setup.initial_psi)
+    def run(which: str, setup: RunConfig, psi: RealField):
         try:
-            return integrate(zeta0, setup.model_params(setup.dt), steps)
+            return integrate(laplacian(psi), setup.model_params(setup.dt),
+                             setup.steps)
         except InstabilityError as exc:
             raise ExperimentInstabilityError(which, exc.step) from exc
 
-    state_a = run("reference", cfg)
-    state_b = run("transformed", cfg_b)
+    state_a = run("reference", cfg, psi0)
+    state_b = run("transformed", cfg_b, psi_b)
 
-    t_final = steps * dt
+    t_final = cfg.steps * dt
     zeta_back = pullback_field(gel, state_b.zeta_curr, cfg.grid,
                                time=t_final, weight=-1)
     ref = state_a.zeta_curr.values
@@ -154,5 +143,24 @@ def equivariance_experiment(cfg: RunConfig, gel: GroupElement,
         field_rel_err=field_rel_err,
         spectrum_rms_log_err=spectrum_rms,
         dt_reference=dt,
-        steps=steps,
+        steps=cfg.steps,
     )
+
+
+def equivariance_report(cfg: RunConfig, gel: GroupElement,
+                        path) -> EquivarianceReport:
+    """Run the paired-experiment comparison and write it to path."""
+    report = equivariance_experiment(cfg, gel)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["eps1", "eps2", "eps3", "boost_velocity",
+                         "gauge", "spec", "field_rel_err",
+                         "spectrum_rms_log_err"])
+        writer.writerow([
+            _fmt(gel.eps1), _fmt(gel.eps2), _fmt(gel.eps3),
+            _fmt(gel.f.derivative(1, 0.0)), _fmt(gel.g(0.0)),
+            cfg.dissipation.kind,
+            _fmt(report.field_rel_err),
+            _fmt(report.spectrum_rms_log_err),
+        ])
+    return report

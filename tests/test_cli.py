@@ -16,6 +16,7 @@ import betaplane
 from betaplane import run as bp_run
 from betaplane.cli import main
 from betaplane.config import config_echo, parse_config
+from betaplane.grid import RealField
 from betaplane.identities import IDENTITIES, DomainConditionError
 from betaplane.run import (
     EXIT_CONFIG,
@@ -202,6 +203,31 @@ def test_run_resolves_psi0_and_dt_through_module_names(tmp_path, monkeypatch):
     assert result.dt == 0.00125
 
 
+def test_patched_start_reaches_manifest_and_diagnostics(tmp_path,
+                                                       monkeypatch):
+    """The perturbations of perfbench/make_reference.py, patches of
+    run.auto_dt and run.generate_initial_condition, must change the
+    recorded run: its manifest dt and its first diagnostics row."""
+    cfg = replace(parse_config(SMALL_RUN), dt=None, steps=2)
+    run_experiment(cfg, out_dir=tmp_path / "plain")
+    generate, auto_dt = bp_run.generate_initial_condition, bp_run.auto_dt
+
+    def scaled(c):
+        psi = generate(c)
+        return RealField(psi.grid, 2.0 * psi.values)
+
+    monkeypatch.setattr(bp_run, "generate_initial_condition", scaled)
+    monkeypatch.setattr(bp_run, "auto_dt", lambda psi: 0.5 * auto_dt(psi))
+    run_experiment(cfg, out_dir=tmp_path / "patched")
+    plain, patched = (
+        json.loads((tmp_path / d / "manifest.json").read_text())
+        for d in ("plain", "patched"))
+    assert patched["dt"] == 0.5 * auto_dt(scaled(cfg)) != plain["dt"]
+    rows = [(tmp_path / d / "diagnostics.csv").read_text().splitlines()[1]
+            for d in ("plain", "patched")]
+    assert rows[0] != rows[1]
+
+
 def test_run_determinism_byte_identical(config_file, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     main(["run", str(config_file), "--out-dir", str(out1)])
@@ -277,6 +303,17 @@ def test_equivariance_subcommand(config_file, tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0][0] == "eps1"
     assert float(dict(zip(rows[0], rows[1]))["field_rel_err"]) < 1e-10
+
+
+def test_equivariance_instability_exit(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(UNSTABLE_RUN)
+    out = tmp_path / "eq"
+    rc = main(["equivariance", str(path), "--eps1", "1.0",
+               "--out-dir", str(out)])
+    assert rc == EXIT_INSTABILITY
+    assert "reference run unstable at step 6" in capsys.readouterr().err
+    assert not (out / "equivariance.csv").exists()
 
 
 def test_equivariance_spec_override(config_file, tmp_path):

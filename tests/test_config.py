@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -120,6 +120,9 @@ out_dir = /tmp/runs
 
 
 def test_echo_round_trips_every_key():
+    # every RunConfig field is a [model] key or a section of its own
+    assert {f.name for f in fields(RunConfig)} == (
+        set(_SCHEMA["model"]) | set(_SCHEMA) - {"model"})
     cfg = parse_config(EVERY_KEY)
     defaults = parse_config("[model]\nsteps = 1\n")
     for section, keys in _SCHEMA.items():

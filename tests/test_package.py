@@ -78,6 +78,15 @@ def test_unknown_attribute_names_package_and_attribute():
     assert not hasattr(betaplane, "no_such_name")
 
 
+def test_run_does_not_load_symmetry():
+    """symmetry builds on run's start resolver, never the reverse, so
+    either module imports first without a cycle."""
+    out = _fresh("import sys, betaplane.run\n"
+                 "print('betaplane.symmetry' in sys.modules)")
+    assert out.split() == ["False"]
+    _fresh("import betaplane.symmetry")
+
+
 # The start of ``betaplane run`` and two steps, then which of the
 # certification and orchestration layers, and of the retired numba
 # switch ``_accel``, the process has loaded.

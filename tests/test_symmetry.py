@@ -53,20 +53,21 @@ def trig_field(grid):
 def test_harness_rejects_nonlinear_boost(grid):
     cfg = base_config(grid)
     with pytest.raises(HarnessDomainError):
-        transform_setup(gel(f=(0.0, 0.1, 0.2)), cfg)
+        transform_setup(gel(f=(0.0, 0.1, 0.2)), cfg, trig_field(grid))
 
 
 def test_harness_rejects_time_dependent_gauge(grid):
     cfg = base_config(grid)
     with pytest.raises(HarnessDomainError):
-        transform_setup(gel(g=(0.0, 1.0)), cfg)
+        transform_setup(gel(g=(0.0, 1.0)), cfg, trig_field(grid))
 
 
 def test_transform_setup_scaling_properties(grid):
     cfg = base_config(grid, mean_velocity=0.3)
     eps1 = 0.7
     c = 0.4
-    out = transform_setup(gel(eps1=eps1, f=(0.0, c)), cfg)
+    out, psi_b = transform_setup(gel(eps1=eps1, f=(0.0, c)), cfg,
+                                 trig_field(grid))
     s = math.exp(-eps1)
     assert out.grid.nx == grid.nx and out.grid.ny == grid.ny
     assert out.grid.lx == pytest.approx(grid.lx * s)
@@ -74,27 +75,27 @@ def test_transform_setup_scaling_properties(grid):
     assert out.dt == pytest.approx(cfg.dt / s)
     assert out.steps == cfg.steps
     assert out.mean_velocity == pytest.approx(s**2 * (0.3 + c))
-    assert out.initial_psi is not None
-    assert out.initial_psi.grid == out.grid
+    assert isinstance(psi_b, RealField)
+    assert psi_b.grid == out.grid
 
 
 def test_transform_setup_gauge_and_weight(grid):
     """Pure scaling plus constant gauge: psi' = s^3 (psi + g0)."""
-    cfg = base_config(grid, initial_psi=trig_field(grid))
+    psi0 = trig_field(grid)
     eps1, g0 = 0.5, 2.0
-    out = transform_setup(gel(eps1=eps1, g=(g0,)), cfg)
+    _, psi_b = transform_setup(gel(eps1=eps1, g=(g0,)), base_config(grid),
+                               psi0)
     s = math.exp(-eps1)
-    expected = s**3 * (cfg.initial_psi.values + g0)
-    assert np.allclose(out.initial_psi.values, expected, atol=1e-14)
+    expected = s**3 * (psi0.values + g0)
+    assert np.allclose(psi_b.values, expected, atol=1e-14)
 
 
 def test_pullback_inverts_pushforward(grid):
     """pullback(transform(psi0)) recovers psi0 to roundoff at t = 0."""
     psi0 = trig_field(grid)
-    cfg = base_config(grid, initial_psi=psi0)
     element = gel(eps1=0.6, eps3=0.9, f=(0.8, 0.2), g=(0.0,))
-    out = transform_setup(element, cfg)
-    back = pullback_field(element, out.initial_psi, grid, time=0.0, weight=-3)
+    _, psi_b = transform_setup(element, base_config(grid), psi0)
+    back = pullback_field(element, psi_b, grid, time=0.0, weight=-3)
     assert np.abs(back.values - psi0.values).max() < 1e-12
 
 
@@ -190,7 +191,7 @@ def test_classical_closure_breaks_equivariance(grid):
 
 
 def test_experiment_steps_override(grid):
-    cfg = base_config(grid)
-    rep = equivariance_experiment(cfg, gel(eps1=0.5), steps=7)
+    cfg = base_config(grid, steps=7)
+    rep = equivariance_experiment(cfg, gel(eps1=0.5))
     assert rep.steps == 7
     assert rep.field_rel_err < 1e-10
