@@ -15,6 +15,7 @@ then the working directory.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -46,6 +47,20 @@ from .symmetry import (
 )
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite value {raw!r}")
+    return value
+
+
+def _positive(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="betaplane", description="beta-plane vorticity laboratory"
@@ -62,9 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eq = sub.add_parser("equivariance", help="paired-run scale test")
     p_eq.add_argument("config", type=Path)
-    p_eq.add_argument("--eps1", type=float, required=True)
-    p_eq.add_argument("--eps3", type=float, default=0.0)
-    p_eq.add_argument("--boost", type=float, default=0.0,
+    p_eq.add_argument("--eps1", type=_finite, required=True)
+    p_eq.add_argument("--eps3", type=_finite, default=0.0)
+    p_eq.add_argument("--boost", type=_finite, default=0.0,
                       help="linear boost velocity f'(t)")
     p_eq.add_argument("--spec", choices=VARIANTS, default=None,
                       help="override the config's dissipation kind")
@@ -72,17 +87,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ci = sub.add_parser("certify-invariants",
                           help="syzygy/commutator residual table")
-    p_ci.add_argument("--out-dir", type=Path, default=None)
-    p_ci.add_argument("--fields", type=int, default=20)
-    p_ci.add_argument("--points", type=int, default=20)
-    p_ci.add_argument("--seed", type=int, default=0)
-
     p_cc = sub.add_parser("certify-conservation",
                           help="divergence identities and grid budgets")
-    p_cc.add_argument("--out-dir", type=Path, default=None)
-    p_cc.add_argument("--fields", type=int, default=20)
-    p_cc.add_argument("--points", type=int, default=20)
-    p_cc.add_argument("--seed", type=int, default=0)
+    for p in (p_ci, p_cc):
+        p.add_argument("--out-dir", type=Path, default=None)
+        p.add_argument("--fields", type=_positive, default=20)
+        p.add_argument("--points", type=_positive, default=20)
+        p.add_argument("--seed", type=int, default=0)
     return parser
 
 

@@ -94,6 +94,10 @@ class RunConfig:
             raise ConfigError("steps must be >= 1")
         if self.dt is not None and not self.dt > 0:
             raise ConfigError("dt must be positive or 'auto'")
+        try:  # the range checks of the other [model] keys
+            self.model_params(1.0 if self.dt is None else self.dt)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def model_params(self, dt: float) -> ModelParams:
         """The stepper's constants for this run at the resolved step dt."""

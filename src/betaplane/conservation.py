@@ -25,7 +25,7 @@ import numpy as np
 
 from .dissipation import DissipationSpec, dissipation
 from .grid import RealField
-from .identities import FD_H_SCALE, central_difference, central_points
+from .identities import FD_H_SCALE, central_difference, stencil_points
 from .jets import (
     AnalyticField,
     CompiledPoly,
@@ -123,10 +123,10 @@ class FluxStencil:
     The point is converted to floats, and the step h is FD_H_SCALE times
     the field's shortest wavelength, as for identities.Neighbourhood.
     Each order is built in one pass: _L_ORDER at the point itself,
-    _FLUX_ORDER at the x and y points of the fluxes' central
-    differences, each with its _poly_values, and 1 at the t points. A
-    jet that is not finite is left out, and reading it raises
-    ValueError, on every read.
+    _FLUX_ORDER at the points of the x and y stencils of
+    identities.stencil_points, each with its _poly_values, and 1 at the
+    points of the t stencil. A jet that is not finite is left out, and
+    reading it raises ValueError, on every read.
     """
 
     def __init__(self, field: AnalyticField, point):
@@ -134,8 +134,9 @@ class FluxStencil:
         self.h = h = FD_H_SCALE * field.shortest_wavelength()
         (z,) = analytic_jets(field, [point], _L_ORDER)
         self._centre = None if z is None else (z, _poly_values(z))
-        xy = [q for d in (1, 2) for q in central_points(point, d, h)]
-        t = central_points(point, 0, h)
+        xy = [q for d in (1, 2)
+              for _, group in stencil_points(point, (d,), h) for q in group]
+        t = [q for _, group in stencil_points(point, (0,), h) for q in group]
         self._stencil = {
             q: (z, _poly_values(z))
             for q, z in zip(xy, analytic_jets(field, xy, _FLUX_ORDER))
@@ -276,10 +277,10 @@ def divergence_identity_residual(char: str, stencil: FluxStencil,
         lam = z[(0, 0, 0)]
     lhs = lam * vorticity_residual(stencil, nu, beta)
     ft, fx, fy = _FLUXES[char](stencil.at, f, g, nu, beta)
-    rhs = (central_difference(fx, point, 1, h)
-           + central_difference(fy, point, 2, h))
+    rhs = (central_difference(fx, point, (1,), h)
+           + central_difference(fy, point, (2,), h))
     if ft is not None:
-        rhs += central_difference(ft, point, 0, h)
+        rhs += central_difference(ft, point, (0,), h)
     return abs(lhs - rhs) / max(1.0, abs(lhs))
 
 

@@ -9,8 +9,11 @@ from the Neighbourhood of the base point being checked. The operators
     D^i_y = sqrt|psi_x| D_y
 
 are evaluated by combining total derivatives of the expression, each
-computed by central differences with one Richardson extrapolation level
-on exact jets at the displaced points. Second-order operators are
+computed by central differences at steps h, h/2 and h/4 on exact jets
+at the displaced points, with two-stage Richardson extrapolation. One
+stencil (the point list of `stencil_points`) and one combiner
+(`central_difference`) serve every first, pure second and mixed second
+difference here and in `conservation`. Second-order operators are
 flattened into coefficient functions times first and second total
 derivatives rather than nesting FD inside FD, which keeps the noise of
 the inner differences from being re-divided by the step.
@@ -19,7 +22,7 @@ All the checks at one base point read one Neighbourhood record, which
 the caller builds and passes to each check. It builds the order-2 jets
 of every stencil point in one pass, and computes the stencil sign
 verdicts, the operator coefficients, the normalized invariants and the
-first total derivatives at most once. Nothing outlives the record: a jet
+total derivatives at most once. Nothing outlives the record: a jet
 read outside it is built afresh.
 
 The printed syzygies hold on the branch psi_x > 0; continuing them to
@@ -40,7 +43,7 @@ Point = tuple[float, float, float]
 InvariantExpression = Callable[["Neighbourhood", Point], float]
 
 # Base FD step as a fraction of the field's shortest wavelength. Chosen
-# so the O(h^4) truncation of the Richardson-extrapolated differences
+# so the O(h^6) truncation of the Richardson-extrapolated differences
 # stays below 1e-7 on unit-scale trigonometric fields while the roundoff
 # contribution (machine epsilon over h^2) remains negligible.
 FD_H_SCALE = 5.0e-4
@@ -69,28 +72,6 @@ def invariant_function(alpha: Alpha) -> InvariantExpression:
     return expr
 
 
-def _displaced(point: Point, steps) -> Point:
-    return tuple(p + s for p, s in zip(point, steps))
-
-
-def _shift(direction: int, step: float):
-    s = [0.0, 0.0, 0.0]
-    s[direction] = step
-    return tuple(s)
-
-
-def _stencil_offsets(i: int, j: int, h: float) -> list[Point]:
-    """Where psi_x must keep its sign for d/di (i == j) or d^2/di dj."""
-    if i == j:
-        return [_shift(i, s) for s in (-h, -0.5 * h, 0.5 * h, h)]
-    return [
-        _displaced(_shift(i, si), _shift(j, sj))
-        for s in (h, 0.5 * h)
-        for si in (-s, s)
-        for sj in (-s, s)
-    ]
-
-
 def richardson3(samples: tuple[float, float, float]) -> float:
     """Two-stage Richardson extrapolation of second-order estimates at
     steps h, h/2, h/4: cancels the h^2 and h^4 error terms."""
@@ -100,27 +81,44 @@ def richardson3(samples: tuple[float, float, float]) -> float:
     return (16.0 * r2 - r1) / 15.0
 
 
-def central_points(point: Point, direction: int, h: float) -> list[Point]:
-    """The points central_difference evaluates, in its order: the
-    point displaced by +s and -s along the axis, for s = h, h/2, h/4."""
-    points = []
-    for step in (h, 0.5 * h, 0.25 * h):
-        for s in (step, -step):
+def stencil_points(point: Point, axes: tuple[int, ...],
+                   h: float) -> list[tuple[float, list[Point]]]:
+    """The points the central quotients of d/di (axes (i,)), d^2/di^2
+    ((i, i)) or d^2/di dj ((i, j)) read besides the point itself, as
+    (step, points) for the steps h, h/2 and h/4, in the quotients'
+    order: +s then -s along the axis, or the corners (+s, +s), (+s, -s),
+    (-s, +s), (-s, -s) of the (i, j) plane."""
+    i, j = axes[0], axes[-1]
+    groups = []
+    for s in (h, 0.5 * h, 0.25 * h):
+        moves = ([((i, s),), ((i, -s),)] if i == j
+                 else [((i, a), (j, b)) for a in (s, -s) for b in (s, -s)])
+        points = []
+        for move in moves:
             q = list(point)
-            q[direction] += s
+            for d, step in move:
+                q[d] += step
             points.append(tuple(q))
-    return points
+        groups.append((s, points))
+    return groups
 
 
 def central_difference(fn: Callable[[Point], float], point: Point,
-                       direction: int, h: float) -> float:
-    """d fn / d point[direction]: Richardson over central differences
-    with steps h, h/2 and h/4."""
-    f = [fn(q) for q in central_points(point, direction, h)]
-    return richardson3(tuple(
-        (f[2 * k] - f[2 * k + 1]) / (2.0 * step)
-        for k, step in enumerate((h, 0.5 * h, 0.25 * h))
-    ))
+                       axes: tuple[int, ...], h: float) -> float:
+    """d fn/di, d^2 fn/di^2 or d^2 fn/di dj at the point (axes as for
+    stencil_points): Richardson over the central quotients at steps h,
+    h/2 and h/4."""
+    groups = [(s, [fn(q) for q in points])
+              for s, points in stencil_points(point, axes, h)]
+    if len(axes) == 1:
+        quotients = ((p - m) / (2.0 * s) for s, (p, m) in groups)
+    elif axes[0] == axes[1]:
+        f0 = fn(point)
+        quotients = ((p - 2.0 * f0 + m) / s**2 for s, (p, m) in groups)
+    else:
+        quotients = ((pp - pm - mp + mm) / (4.0 * s**2)
+                     for s, (pp, pm, mp, mm) in groups)
+    return richardson3(tuple(quotients))
 
 
 def _operator_coefficients(jet: Jet, direction: str):
@@ -154,31 +152,27 @@ class Neighbourhood:
     """What the identity checks read around one base point.
 
     The point is converted to floats, and the step h is FD_H_SCALE times
-    the field's shortest wavelength. The order-2 jets at the centre, at
-    +-h, +-h/2 and +-h/4 on each axis and at the (t, x) diagonals of the
-    mixed second differences are built in one pass. A point outside that
-    set, or one whose jet is not finite, is built alone by field.jet
-    when read, which raises for a non-finite jet. A crossing stencil's
-    verdict is kept, so every check of it raises; any other error stores
-    nothing and recurs on every call.
+    the field's shortest wavelength. The order-2 jets of the centre and
+    of the stencils of each axis and of the (t, x) plane are built in
+    one pass. A point outside that set, or one whose jet is not finite,
+    is built alone by field.jet when read, which raises for a non-finite
+    jet. A crossing stencil's verdict is kept, so every check of it
+    raises; any other error stores nothing and recurs on every call.
     """
 
     def __init__(self, field: AnalyticField, point: Point):
         self.field = field
         self.point = point = tuple(float(v) for v in point)
         self.h = h = FD_H_SCALE * field.shortest_wavelength()
-        steps = (h, 0.5 * h, 0.25 * h)
-        points = [point]
-        points += [q for d in range(3) for q in central_points(point, d, h)]
-        points += [
-            _displaced(point, _displaced(_shift(0, a), _shift(1, b)))
-            for step in steps for a in (step, -step) for b in (step, -step)
+        points = [point] + [
+            q for axes in ((0,), (1,), (2,), (0, 1))
+            for _, group in stencil_points(point, axes, h) for q in group
         ]
         self._jets = dict(zip(points, analytic_jets(field, points, 2)))
         self._invariants: dict[tuple[Point, Alpha], float] = {}
         self._crossings: dict[tuple[int, int], bool] = {}
         self._coefficients: dict[str, tuple] = {}
-        self._first: dict[tuple[InvariantExpression, int], float] = {}
+        self._totals: dict[tuple, float] = {}
 
     def jet(self, point: Point) -> Jet:
         """The order-2 jet at a point."""
@@ -206,14 +200,16 @@ class Neighbourhood:
         return expr(self, self.point)
 
     def check_stencil(self, i: int, j: int) -> None:
-        """Raise StencilCrossingError if psi_x changes sign within the
-        stencil of d/di (i == j) or d^2/di dj."""
+        """Raise StencilCrossingError if psi_x changes sign at the h and
+        h/2 points of the stencil of d/di and d^2/di^2 (i == j) or of
+        d^2/di dj."""
         key = i, j
         if key not in self._crossings:
             s0 = self.sign(self.point)
             self._crossings[key] = any(
-                self.sign(_displaced(self.point, off)) != s0
-                for off in _stencil_offsets(i, j, self.h)
+                self.sign(q) != s0
+                for _, group in stencil_points(self.point, key, self.h)[:2]
+                for q in group
             )
         if self._crossings[key]:
             raise StencilCrossingError(
@@ -229,41 +225,17 @@ class Neighbourhood:
             )
         return found
 
-    def total(self, expr: InvariantExpression, direction: int) -> float:
-        """First total derivative of an invariant expression."""
-        key = expr, direction
-        value = self._first.get(key)
+    def total(self, expr: InvariantExpression, *axes: int) -> float:
+        """Total derivative d/di, d^2/di^2 or d^2/di dj (axes i, (i, i)
+        or (i, j)) of an invariant expression."""
+        key = expr, axes
+        value = self._totals.get(key)
         if value is None:
-            self.check_stencil(direction, direction)
-            value = self._first[key] = central_difference(
-                lambda q: expr(self, q), self.point, direction, self.h
+            self.check_stencil(axes[0], axes[-1])
+            value = self._totals[key] = central_difference(
+                lambda q: expr(self, q), self.point, axes, self.h
             )
         return value
-
-    def total2(self, expr: InvariantExpression, i: int, j: int) -> float:
-        """Second total derivative d^2/di dj, Richardson over central
-        stencils."""
-        self.check_stencil(i, j)
-        point = self.point
-        if i == j:
-            f0 = expr(self, point)
-
-            def second(step: float) -> float:
-                plus = expr(self, _displaced(point, _shift(i, step)))
-                minus = expr(self, _displaced(point, _shift(i, -step)))
-                return (plus - 2.0 * f0 + minus) / step**2
-
-        else:
-
-            def second(step: float) -> float:
-                pp = expr(self, _displaced(point, _displaced(_shift(i, step), _shift(j, step))))
-                pm = expr(self, _displaced(point, _displaced(_shift(i, step), _shift(j, -step))))
-                mp = expr(self, _displaced(point, _displaced(_shift(i, -step), _shift(j, step))))
-                mm = expr(self, _displaced(point, _displaced(_shift(i, -step), _shift(j, -step))))
-                return (pp - pm - mp + mm) / (4.0 * step**2)
-
-        h = self.h
-        return richardson3((second(h), second(0.5 * h), second(0.25 * h)))
 
     def derivative(self, expr: InvariantExpression, direction: str) -> float:
         """D^i_direction of an invariant expression."""
@@ -293,7 +265,7 @@ class Neighbourhood:
                 if db[i][j]:
                     total += a[i] * db[i][j] * self.total(expr, j)
                 if b[j]:
-                    total += a[i] * b[j] * self.total2(expr, i, j)
+                    total += a[i] * b[j] * self.total(expr, i, j)
         return total
 
     def commutator(self, d1: str, d2: str, expr: InvariantExpression) -> float:

@@ -213,16 +213,10 @@ def prolong_action(gel: GroupElement, z: Jet) -> Jet:
 
 # The cached polynomials are read-only, so no caller can alter them.
 @lru_cache(maxsize=None)
-def _frame_f_poly(k: int) -> Mapping[Monomial, float]:
-    """(D_t - psi_y D_x)^k psi_y, the jet polynomial behind f^{(k+1)}."""
-    return MappingProxyType(material_power(jp_coord((0, 0, 1)), k))
-
-
-@lru_cache(maxsize=None)
-def _frame_h_poly(k: int) -> Mapping[Monomial, float]:
-    """-(D_t - psi_y D_x)^k psi, the jet polynomial behind h^{(k)}."""
-    p = material_power(jp_coord((0, 0, 0)), k)
-    return MappingProxyType({m: -c for m, c in p.items()})
+def _invariant_poly(a1: int, a2: int, a3: int) -> Mapping[Monomial, float]:
+    """(D_t - psi_y D_x)^{a1} psi_{0 a2 a3}: the core of I_alpha, and of
+    the frame's f^{(a1+1)} (a2, a3 = 0, 1) and -h^{(a1)} (a2, a3 = 0, 0)."""
+    return MappingProxyType(material_power(jp_coord((0, a2, a3)), a1))
 
 
 def moving_frame(z: Jet) -> FrameParameters:
@@ -236,11 +230,9 @@ def moving_frame(z: Jet) -> FrameParameters:
     psi_x = z[(0, 1, 0)]
     if psi_x == 0.0:
         raise SingularFrameError("moving frame is singular where psi_x = 0")
-    kmax = z.order - 1
-    f_derivs = [-x]
-    for k in range(kmax + 1):
-        f_derivs.append(jp_eval(_frame_f_poly(k), z))
-    h_derivs = [jp_eval(_frame_h_poly(k), z) for k in range(kmax + 1)]
+    orders = range(z.order)
+    f_derivs = [-x] + [jp_eval(_invariant_poly(k, 0, 1), z) for k in orders]
+    h_derivs = [-jp_eval(_invariant_poly(k, 0, 0), z) for k in orders]
     return FrameParameters(
         eps1=0.5 * math.log(abs(psi_x)),
         eps2=-t,
@@ -260,11 +252,6 @@ def invariantize(z: Jet) -> Jet:
 def is_phantom(alpha: Alpha) -> bool:
     a1, a2, a3 = alpha
     return (a2 == 0 and a3 in (0, 1)) or alpha == (0, 1, 0)
-
-
-@lru_cache(maxsize=None)
-def _invariant_poly(a1: int, a2: int, a3: int) -> Mapping[Monomial, float]:
-    return MappingProxyType(material_power(jp_coord((0, a2, a3)), a1))
 
 
 def normalized_invariant(z: Jet, alpha: Alpha) -> float:

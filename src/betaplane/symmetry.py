@@ -31,7 +31,8 @@ import numpy as np
 
 
 class HarnessDomainError(ValueError):
-    """Group element outside the harness subgroup (nonlinear f, non-constant g)."""
+    """Group element outside the harness subgroup (nonlinear f,
+    non-constant g), or one whose transformed setup floats cannot hold."""
 
 
 class ExperimentInstabilityError(RuntimeError):
@@ -69,16 +70,29 @@ def transform_setup(gel: GroupElement, cfg: RunConfig,
     the initial streamfunction picks up the weight e^{-3 eps1}, the
     spatial shift and the constant gauge; the boost's -f'(t)*y ramp has
     no periodic representation and is carried as the mean velocity
-    e^{-2 eps1}*(u0 + f').
+    e^{-2 eps1}*(u0 + f'). Raises HarnessDomainError when a grid
+    spacing, dt, the weight, the mean velocity or the start field of
+    the transformed setup is zero or overflows.
     """
     f0, c = _check_harness(gel)
-    scale = math.exp(-gel.eps1)
-    grid_b = Grid(cfg.grid.nx, cfg.grid.ny, cfg.grid.lx * scale,
-                  cfg.grid.ly * scale)
+    grid = cfg.grid
+    out_of_range = (f"eps1 = {gel.eps1!r}, boost = {c!r}: the transformed "
+                    "grid, dt or start field is out of floating-point range")
+    try:
+        scale = math.exp(-gel.eps1)
+        lx, ly, dt = grid.lx * scale, grid.ly * scale, cfg.dt / scale
+        weight, mean_velocity = scale**3, scale**2 * (cfg.mean_velocity + c)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise HarnessDomainError(out_of_range) from exc
     shifted = spectral_shift(psi0, f0, gel.eps3)
-    values_b = scale**3 * (shifted.values + gel.g(0.0))
-    cfg_b = replace(cfg, grid=grid_b, dt=cfg.dt / scale,
-                    mean_velocity=scale**2 * (cfg.mean_velocity + c))
+    with np.errstate(over="ignore"):
+        values_b = weight * (shifted.values + gel.g(0.0))
+    spacings = (lx / grid.nx, ly / grid.ny, dt, weight)
+    if not (all(0.0 < v < math.inf for v in spacings)
+            and math.isfinite(mean_velocity) and np.isfinite(values_b).all()):
+        raise HarnessDomainError(out_of_range)
+    grid_b = Grid(grid.nx, grid.ny, lx, ly)
+    cfg_b = replace(cfg, grid=grid_b, dt=dt, mean_velocity=mean_velocity)
     return cfg_b, RealField(grid_b, values_b)
 
 

@@ -278,6 +278,20 @@ def test_non_finite_value_is_a_config_error(tmp_path, capsys, section, key,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("raw_gamma", "1.5"), ("raw_gamma", "-0.1"), ("raw_alpha", "0.0"),
+    ("raw_alpha", "1.2"),
+])
+def test_out_of_range_filter_is_a_config_error(tmp_path, capsys, key, value):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[model]\nsteps = 2\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{key} must lie in" in err
+    assert not out.exists()
+
+
 def test_missing_file_exit_code(tmp_path):
     assert main(["run", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
 
@@ -316,6 +330,36 @@ def test_equivariance_instability_exit(tmp_path, capsys):
     assert not (out / "equivariance.csv").exists()
 
 
+def _exit_code(argv) -> int:
+    """main's exit code, also when the argument parser exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("args, name", [
+    (["--eps1", "nan"], "--eps1"),
+    (["--eps1", "800"], "eps1"),
+    (["--eps1", "-800"], "eps1"),
+    # the weight e^{-3 eps1} is finite, the weighted start field is not
+    (["--eps1", "-236.5"], "eps1"),
+    (["--eps1", "0", "--eps3", "inf"], "--eps3"),
+    (["--eps1", "0", "--boost", "inf"], "--boost"),
+])
+def test_equivariance_bad_group_parameter_exit(config_file, tmp_path, capsys,
+                                               args, name):
+    out = tmp_path / "eq"
+    rc = _exit_code(["equivariance", str(config_file), *args,
+                     "--out-dir", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert name in line
+    assert not (out / "equivariance.csv").exists()
+
+
 def test_equivariance_spec_override(config_file, tmp_path):
     out = tmp_path / "eq2"
     rc = main([
@@ -345,6 +389,20 @@ def test_certify_invariants_subcommand(tmp_path, capsys):
     assert skipped_line.startswith("skipped: ")
     skipped = int(skipped_line.split()[1])
     assert len(residuals) + skipped == 3 * 3 * len(IDENTITIES)
+
+
+@pytest.mark.parametrize("command", ["certify-invariants",
+                                     "certify-conservation"])
+@pytest.mark.parametrize("option, value", [
+    ("--fields", "-1"), ("--fields", "0"), ("--points", "0"),
+])
+def test_certify_rejects_empty_tables(tmp_path, capsys, command, option,
+                                      value):
+    out = tmp_path / "cert"
+    rc = _exit_code([command, "--out-dir", str(out), option, value])
+    assert rc == EXIT_CONFIG
+    assert f"argument {option}: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_certify_invariants_counts_skipped_points(tmp_path, monkeypatch):

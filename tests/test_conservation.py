@@ -4,6 +4,7 @@ conservation budgets."""
 from __future__ import annotations
 
 import gc
+import hashlib
 import weakref
 from collections import Counter
 
@@ -212,6 +213,41 @@ def test_certify_tables_independent_of_jet_cache(tmp_path, monkeypatch):
     skipped, raised = records[1:]
     assert raised == {StencilCrossingError, DomainConditionError}
     assert skipped.total() > 0
+
+
+# sha256 of the identity, divergence and budget tables of a plain run
+# (seed 0, 2 fields x 3 points) and of the _certify_bytes run, recorded
+# before the stencil geometry and arithmetic of identities and
+# conservation became one point list and one combiner.
+CERTIFY_DIGESTS = {
+    "plain":
+        "5d4819636f4b08bb78a49b67b6840e94bbfdf696b96159091d9ad536778c2b64",
+    "near_zero":
+        "09b2449db60ebaaa7fc9550843a70bc80ff023f4a191276d12ad5663dd1af073",
+}
+
+
+def _digest(tables) -> str:
+    digest = hashlib.sha256()
+    for data in tables:
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def test_certify_tables_are_pinned(tmp_path, monkeypatch):
+    """The certify tables keep their bytes, with and without points
+    whose stencils cross psi_x = 0."""
+    inv, div, bud = (tmp_path / name for name in
+                     ("identities.csv", "divergence.csv", "budgets.csv"))
+    skipped = Counter()
+    certify_invariants(inv, n_fields=2, n_points=3, seed=0, skipped=skipped)
+    certify_conservation(div, bud, n_fields=2, n_points=3, seed=0)
+    assert _digest(p.read_bytes() for p in (inv, div, bud)) == \
+        CERTIFY_DIGESTS["plain"]
+    assert skipped.total() == 0
+    tables, skipped, _ = _certify_bytes(tmp_path, "near_zero", monkeypatch)
+    assert _digest(tables) == CERTIFY_DIGESTS["near_zero"]
+    assert skipped == Counter(dict.fromkeys(identities.IDENTITY_IDS, 2))
 
 
 @pytest.mark.parametrize("x, centre_finite", [

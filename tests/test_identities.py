@@ -227,21 +227,40 @@ def test_registry_complete():
 
 
 def test_central_difference_is_richardson_of_central_quotients():
-    """The shared helper keeps the exact arithmetic of the quotient
-    (fn(p + s e_d) - fn(p - s e_d)) / 2s at s = h, h/2, h/4, so the
-    certification tables do not change by a bit."""
+    """The shared helper keeps the exact arithmetic of the quotients
+    (fn(p + s e_i) - fn(p - s e_i)) / 2s,
+    (fn(p + s e_i) - 2 fn(p) + fn(p - s e_i)) / s^2 and
+    (fn(p + s e_i + s e_j) - fn(p + s e_i - s e_j)
+     - fn(p - s e_i + s e_j) + fn(p - s e_i - s e_j)) / 4s^2
+    at s = h, h/2, h/4, so the certification tables do not change by a
+    bit."""
 
     def fn(q):
-        return math.sin(q[0]) * q[1] ** 3 + math.exp(q[2])
+        return math.sin(q[0]) * q[1] ** 3 + math.exp(q[2]) * q[0] * q[1]
+
+    def at(moves):
+        q = list(point)
+        for d, s in moves:
+            q[d] = point[d] + s
+        return fn(q)
+
+    def first(i, s):
+        return (at([(i, s)]) - at([(i, -s)])) / (2.0 * s)
+
+    def second(i, j, s):
+        if i == j:
+            return (at([(i, s)]) - 2.0 * fn(point) + at([(i, -s)])) / s**2
+        pp = at([(i, s), (j, s)])
+        pm = at([(i, s), (j, -s)])
+        mp = at([(i, -s), (j, s)])
+        mm = at([(i, -s), (j, -s)])
+        return (pp - pm - mp + mm) / (4.0 * s**2)
 
     point, h = (0.3, -0.7, 0.2), 1.0e-3
-    for d in range(3):
-
-        def quotient(s):
-            plus, minus = list(point), list(point)
-            plus[d] = point[d] + s
-            minus[d] = point[d] - s
-            return (fn(plus) - fn(minus)) / (2.0 * s)
-
-        want = richardson3((quotient(h), quotient(0.5 * h), quotient(0.25 * h)))
-        assert central_difference(fn, point, d, h) == want
+    steps = (h, 0.5 * h, 0.25 * h)
+    for i in range(3):
+        want = richardson3(tuple(first(i, s) for s in steps))
+        assert central_difference(fn, point, (i,), h) == want
+        for j in range(3):
+            want = richardson3(tuple(second(i, j, s) for s in steps))
+            assert central_difference(fn, point, (i, j), h) == want

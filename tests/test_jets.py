@@ -222,9 +222,6 @@ def test_no_jet_is_built_around_its_constructor():
 UNBOUNDED_CACHES = {
     # one Workspace per grid a process builds
     "betaplane.spectral.workspace",
-    # one polynomial per k < MAX_JET_ORDER
-    "betaplane.invariants._frame_f_poly",
-    "betaplane.invariants._frame_h_poly",
     # one polynomial per alpha with |alpha| <= MAX_JET_ORDER
     "betaplane.invariants._invariant_poly",
 }
