@@ -61,6 +61,13 @@ def _positive(raw: str) -> int:
     return value
 
 
+def _non_negative(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="betaplane", description="beta-plane vorticity laboratory"
@@ -93,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", type=Path, default=None)
         p.add_argument("--fields", type=_positive, default=20)
         p.add_argument("--points", type=_positive, default=20)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_non_negative, default=0)
     return parser
 
 

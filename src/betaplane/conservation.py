@@ -38,7 +38,6 @@ from .jets import (
     jp_compile,
     jp_coord,
     jp_mul,
-    jp_order,
     jp_pow,
     jp_scale,
     jp_total_derivative,
@@ -95,19 +94,19 @@ _L_ORDER = 6
 _FLUX_ORDER = 5
 
 
-@functools.lru_cache(maxsize=_L_ORDER + 1)
-def _compiled_polys(order: int) -> tuple[tuple[str, ...], CompiledPoly]:
-    """The fixed polynomials a jet of this order carries, compiled
-    together; on first use, so importing the module costs no more."""
-    names = tuple(name for name, p in _POLYS.items() if jp_order(p) <= order)
-    return names, jp_compile(*(_POLYS[name] for name in names))
+@functools.lru_cache(maxsize=8)
+def _compiled_polys(names: tuple[str, ...]) -> CompiledPoly:
+    """The named fixed polynomials, compiled together; on first use, so
+    importing the module costs no more."""
+    return jp_compile(*(_POLYS[name] for name in names))
 
 
-def _poly_values(z: Jet) -> Mapping[str, float]:
-    """Every fixed polynomial a jet carries, evaluated in one array
-    pass, == jp_eval(_POLYS[name], z)."""
-    names, compiled = _compiled_polys(z.order)
-    return MappingProxyType(dict(zip(names, compiled.evaluate(z).tolist())))
+def _poly_values(z: Jet, names: tuple[str, ...]) -> Mapping[str, float]:
+    """The named fixed polynomials at a jet, evaluated in one array
+    pass, == jp_eval(_POLYS[name], z); reading any other name raises
+    KeyError."""
+    values = _compiled_polys(names).evaluate(z).tolist()
+    return MappingProxyType(dict(zip(names, values)))
 
 
 def _finite(entry: tuple | None) -> tuple:
@@ -122,26 +121,30 @@ class FluxStencil:
 
     The point is converted to floats, and the step h is FD_H_SCALE times
     the field's shortest wavelength, as for identities.Neighbourhood.
-    Each order is built in one pass: _L_ORDER at the point itself,
-    _FLUX_ORDER at the points of the x and y stencils of
-    identities.stencil_points, each with its _poly_values, and 1 at the
-    points of the t stencil. A jet that is not finite is left out, and
-    reading it raises ValueError, on every read.
+    Each order is built in one pass: _L_ORDER at the point itself, with
+    the _poly_values of _CENTRE_POLYS, _FLUX_ORDER at the points of the
+    x and y stencils of identities.stencil_points, with those of
+    _X_POLYS and _Y_POLYS, and 1 at the points of the t stencil. The
+    stencils' point groups are kept for the differences. A jet that is
+    not finite is left out, and reading it raises ValueError, on every
+    read.
     """
 
     def __init__(self, field: AnalyticField, point):
         self.point = point = tuple(float(v) for v in point)
         self.h = h = FD_H_SCALE * field.shortest_wavelength()
+        self._groups = [stencil_points(point, (d,), h) for d in range(3)]
         (z,) = analytic_jets(field, [point], _L_ORDER)
-        self._centre = None if z is None else (z, _poly_values(z))
-        xy = [q for d in (1, 2)
-              for _, group in stencil_points(point, (d,), h) for q in group]
-        t = [q for _, group in stencil_points(point, (0,), h) for q in group]
+        self._centre = (None if z is None
+                        else (z, _poly_values(z, _CENTRE_POLYS)))
+        xy = [(q, names) for d, names in ((1, _X_POLYS), (2, _Y_POLYS))
+              for _, group in self._groups[d] for q in group]
+        jets = analytic_jets(field, [q for q, _ in xy], _FLUX_ORDER)
         self._stencil = {
-            q: (z, _poly_values(z))
-            for q, z in zip(xy, analytic_jets(field, xy, _FLUX_ORDER))
-            if z is not None
+            q: (z, _poly_values(z, names))
+            for (q, names), z in zip(xy, jets) if z is not None
         }
+        t = [q for _, group in self._groups[0] for q in group]
         self._stencil.update(
             (q, (z, None))
             for q, z in zip(t, analytic_jets(field, t, 1))
@@ -157,6 +160,16 @@ class FluxStencil:
         t points)."""
         return _finite(self._stencil.get(q))
 
+    def difference(self, fn, axis: int) -> float:
+        """identities.central_difference of fn along an axis at the base
+        point, on the kept stencil."""
+        return central_difference(fn, self.point, (axis,), self.h,
+                                  self._groups[axis])
+
+
+# What vorticity_residual reads at the base point.
+_CENTRE_POLYS = ("advection", "d")
+
 
 def vorticity_residual(stencil: FluxStencil, nu: float, beta: float) -> float:
     """L = zeta_t + psi_x zeta_y - psi_y zeta_x + beta psi_x - D at the
@@ -167,6 +180,11 @@ def vorticity_residual(stencil: FluxStencil, nu: float, beta: float) -> float:
         + beta * z[(0, 1, 0)]
         - nu * p["d"]
     )
+
+
+# What the fluxes read at the x and y stencil points.
+_X_POLYS = ("zeta_y", "q", "q_x", "zeta7_x")
+_Y_POLYS = ("zeta_x", "q", "q_y", "zeta7_y")
 
 
 def _flux_f(at, f: TimeFunction, g: TimeFunction, nu: float, beta: float):
@@ -266,7 +284,7 @@ def divergence_identity_residual(char: str, stencil: FluxStencil,
     at the record's base point."""
     if char not in CHARACTERISTICS:
         raise ValueError(f"characteristic must be one of {CHARACTERISTICS}")
-    point, h = stencil.point, stencil.h
+    point = stencil.point
     f, g = timefns
     z, _ = stencil.centre()
     if char == "f":
@@ -277,10 +295,9 @@ def divergence_identity_residual(char: str, stencil: FluxStencil,
         lam = z[(0, 0, 0)]
     lhs = lam * vorticity_residual(stencil, nu, beta)
     ft, fx, fy = _FLUXES[char](stencil.at, f, g, nu, beta)
-    rhs = (central_difference(fx, point, (1,), h)
-           + central_difference(fy, point, (2,), h))
+    rhs = stencil.difference(fx, 1) + stencil.difference(fy, 2)
     if ft is not None:
-        rhs += central_difference(ft, point, (0,), h)
+        rhs += stencil.difference(ft, 0)
     return abs(lhs - rhs) / max(1.0, abs(lhs))
 
 

@@ -104,20 +104,23 @@ def stencil_points(point: Point, axes: tuple[int, ...],
 
 
 def central_difference(fn: Callable[[Point], float], point: Point,
-                       axes: tuple[int, ...], h: float) -> float:
+                       axes: tuple[int, ...], h: float,
+                       groups: list | None = None) -> float:
     """d fn/di, d^2 fn/di^2 or d^2 fn/di dj at the point (axes as for
     stencil_points): Richardson over the central quotients at steps h,
-    h/2 and h/4."""
-    groups = [(s, [fn(q) for q in points])
-              for s, points in stencil_points(point, axes, h)]
+    h/2 and h/4. A record passes the groups stencil_points(point, axes,
+    h) that it keeps."""
+    if groups is None:
+        groups = stencil_points(point, axes, h)
+    values = [(s, [fn(q) for q in points]) for s, points in groups]
     if len(axes) == 1:
-        quotients = ((p - m) / (2.0 * s) for s, (p, m) in groups)
+        quotients = ((p - m) / (2.0 * s) for s, (p, m) in values)
     elif axes[0] == axes[1]:
         f0 = fn(point)
-        quotients = ((p - 2.0 * f0 + m) / s**2 for s, (p, m) in groups)
+        quotients = ((p - 2.0 * f0 + m) / s**2 for s, (p, m) in values)
     else:
         quotients = ((pp - pm - mp + mm) / (4.0 * s**2)
-                     for s, (pp, pm, mp, mm) in groups)
+                     for s, (pp, pm, mp, mm) in values)
     return richardson3(tuple(quotients))
 
 
@@ -154,20 +157,22 @@ class Neighbourhood:
     The point is converted to floats, and the step h is FD_H_SCALE times
     the field's shortest wavelength. The order-2 jets of the centre and
     of the stencils of each axis and of the (t, x) plane are built in
-    one pass. A point outside that set, or one whose jet is not finite,
-    is built alone by field.jet when read, which raises for a non-finite
-    jet. A crossing stencil's verdict is kept, so every check of it
-    raises; any other error stores nothing and recurs on every call.
+    one pass, and those stencils' point groups are kept for the
+    differences and sign checks. A point outside that set, or one whose
+    jet is not finite, is built alone by field.jet when read, which
+    raises for a non-finite jet. A crossing stencil's verdict is kept,
+    so every check of it raises; any other error stores nothing and
+    recurs on every call.
     """
 
     def __init__(self, field: AnalyticField, point: Point):
         self.field = field
         self.point = point = tuple(float(v) for v in point)
         self.h = h = FD_H_SCALE * field.shortest_wavelength()
-        points = [point] + [
-            q for axes in ((0,), (1,), (2,), (0, 1))
-            for _, group in stencil_points(point, axes, h) for q in group
-        ]
+        self._groups = {axes: stencil_points(point, axes, h)
+                        for axes in ((0,), (1,), (2,), (0, 1))}
+        points = [point] + [q for groups in self._groups.values()
+                            for _, group in groups for q in group]
         self._jets = dict(zip(points, analytic_jets(field, points, 2)))
         self._invariants: dict[tuple[Point, Alpha], float] = {}
         self._crossings: dict[tuple[int, int], bool] = {}
@@ -195,6 +200,16 @@ class Neighbourhood:
             value = self._invariants[key] = normalized_invariant(jet, alpha)
         return value
 
+    def stencil(self, axes: tuple[int, ...]) -> list:
+        """stencil_points of the base point for these axes, computed once;
+        (i, i) reads the points of (i,)."""
+        key = axes[:1] if axes[0] == axes[-1] else axes
+        groups = self._groups.get(key)
+        if groups is None:
+            groups = self._groups[key] = stencil_points(self.point, key,
+                                                        self.h)
+        return groups
+
     def value(self, expr: InvariantExpression) -> float:
         """An invariant expression at the base point."""
         return expr(self, self.point)
@@ -208,7 +223,7 @@ class Neighbourhood:
             s0 = self.sign(self.point)
             self._crossings[key] = any(
                 self.sign(q) != s0
-                for _, group in stencil_points(self.point, key, self.h)[:2]
+                for _, group in self.stencil(key)[:2]
                 for q in group
             )
         if self._crossings[key]:
@@ -233,7 +248,8 @@ class Neighbourhood:
         if value is None:
             self.check_stencil(axes[0], axes[-1])
             value = self._totals[key] = central_difference(
-                lambda q: expr(self, q), self.point, axes, self.h
+                lambda q: expr(self, q), self.point, axes, self.h,
+                self.stencil(axes)
             )
         return value
 

@@ -68,28 +68,6 @@ class GroupElement:
         return cls()
 
 
-def compose(outer: GroupElement, inner: GroupElement) -> GroupElement:
-    """Element acting as outer after inner, for boost-free elements.
-
-    General composition drags f through the scaling of t in a way that
-    leaves the canonical form only for f = 0, which is all the
-    composition-consistency checks need.
-    """
-    if not outer.f.is_zero() or not inner.f.is_zero():
-        raise ValueError("composition is only supported for boost-free elements")
-    e1 = inner.eps1 + outer.eps1
-    e2 = inner.eps2 + math.exp(-inner.eps1) * outer.eps2
-    e3 = inner.eps3 + math.exp(inner.eps1) * outer.eps3
-    # Psi2 = e^{-3(e1a+e1b)} (psi + g_in(t) + e^{3 e1_in} g_out(T_in(t)))
-    g_out_of_t = outer.g.affine_argument(
-        math.exp(inner.eps1), math.exp(inner.eps1) * inner.eps2
-    )
-    # affine_argument gives s -> g_out(scale*s + shift); we need argument
-    # e^{e1_in} (t + e2_in) = e^{e1_in} t + e^{e1_in} e2_in
-    g = inner.g + math.exp(3.0 * inner.eps1) * g_out_of_t
-    return GroupElement(e1, e2, e3, TimeFunction.zero(), g)
-
-
 @dataclass(frozen=True)
 class FrameParameters:
     """Pseudogroup parameters singled out by the normalization conditions.
@@ -243,12 +221,6 @@ def moving_frame(z: Jet) -> FrameParameters:
     )
 
 
-def invariantize(z: Jet) -> Jet:
-    """Apply the jet's own frame: prolong_action(frame(z), z)."""
-    t, _, y = z.point
-    return prolong_action(moving_frame(z).group_element(t, y), z)
-
-
 def is_phantom(alpha: Alpha) -> bool:
     a1, a2, a3 = alpha
     return (a2 == 0 and a3 in (0, 1)) or alpha == (0, 1, 0)
@@ -273,16 +245,3 @@ def normalized_invariant(z: Jet, alpha: Alpha) -> float:
 
 def nonphantom_indices(max_order: int) -> list[Alpha]:
     return [a for a in multi_indices(max_order) if sum(a) > 0 and not is_phantom(a)]
-
-
-def invariant_representation_residual(z: Jet, beta: float) -> float:
-    """(zeta_t - psi_y zeta_x)/psi_x + zeta_y + beta, the invariant form
-    of the vorticity equation evaluated on a jet."""
-    psi_x = z[(0, 1, 0)]
-    if psi_x == 0.0:
-        raise SingularFrameError("invariant representation undefined at psi_x = 0")
-    zeta_t = z[(1, 2, 0)] + z[(1, 0, 2)]
-    zeta_x = z[(0, 3, 0)] + z[(0, 1, 2)]
-    zeta_y = z[(0, 2, 1)] + z[(0, 0, 3)]
-    psi_y = z[(0, 0, 1)]
-    return (zeta_t - psi_y * zeta_x) / psi_x + zeta_y + beta

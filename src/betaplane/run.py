@@ -262,12 +262,12 @@ def reference_budget_field(grid: Grid) -> RealField:
     closure flux through the periodic seam cancels by symmetry), and is
     scaled so the vorticity is O(1) before entering the seventh power.
     """
-    X, Y = np.meshgrid(grid.x() * (2.0 * np.pi / grid.lx),
-                       grid.y() * (2.0 * np.pi / grid.ly), indexing="ij")
+    x = grid.x() * (2.0 * np.pi / grid.lx)
+    y = grid.y() * (2.0 * np.pi / grid.ly)
     psi = 0.05 * (
-        1.0 * np.cos(3.0 * X + 0.4) * np.cos(2.0 * Y)
-        + 0.7 * np.cos(X + 1.1) * np.cos(4.0 * Y)
-        + 0.5 * np.cos(5.0 * X + 2.0) * np.cos(Y)
-        + 0.3 * np.cos(2.0 * X + 0.7)
+        1.0 * np.cos(3.0 * x + 0.4) * np.cos(2.0 * y)
+        + 0.7 * np.cos(x + 1.1) * np.cos(4.0 * y)
+        + 0.5 * np.cos(5.0 * x + 2.0) * np.cos(y)
+        + 0.3 * np.cos(2.0 * x + 0.7)
     )
     return RealField(grid, psi - psi.mean())

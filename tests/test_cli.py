@@ -405,6 +405,19 @@ def test_certify_rejects_empty_tables(tmp_path, capsys, command, option,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["certify-invariants",
+                                     "certify-conservation"])
+def test_certify_rejects_negative_seed(tmp_path, capsys, command):
+    out = tmp_path / "cert"
+    rc = _exit_code([command, "--out-dir", str(out), "--seed", "-1"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert "--seed" in line
+    assert not out.exists()
+
+
 def test_certify_invariants_counts_skipped_points(tmp_path, monkeypatch):
     """Every (point, identity) pair is either a data row or one count."""
     check = bp_run.check_syzygy

@@ -140,6 +140,23 @@ def test_compiled_flux_polynomials_equal_jp_eval(name):
             assert compiled.evaluate(z4).tolist() == [jp_eval(poly, z4)]
 
 
+@pytest.mark.parametrize("names", [
+    conservation._CENTRE_POLYS, conservation._X_POLYS, conservation._Y_POLYS,
+])
+def test_stencil_polynomial_sets_equal_jp_eval(names):
+    """Each stencil role's set evaluates, on every jet order it fits, to
+    exactly jp_eval of its named polynomials and to nothing else."""
+    need = max(jp_order(conservation._POLYS[name]) for name in names)
+    rng = np.random.default_rng(29)
+    for _ in range(4):
+        field = AnalyticField.random(rng)
+        point = tuple(rng.uniform(-3.0, 3.0, size=3))
+        for order in range(max(5, need), 7):
+            z = analytic_jet(field, point, order)
+            assert dict(conservation._poly_values(z, names)) == \
+                _jp_eval_values(z, names)
+
+
 _ADMISSIBLE = run.sample_admissible_point
 
 
@@ -175,12 +192,9 @@ def _certify_bytes(tmp_path, tag, monkeypatch):
     return [p.read_bytes() for p in (inv, div, bud)], skipped, raised
 
 
-def _jp_eval_values(z):
-    """jp_eval of every fixed polynomial a jet carries, with no
-    compiled form."""
-    return {name: jp_eval(poly, z)
-            for name, poly in conservation._POLYS.items()
-            if jp_order(poly) <= z.order}
+def _jp_eval_values(z, names):
+    """jp_eval of the named fixed polynomials, with no compiled form."""
+    return {name: jp_eval(conservation._POLYS[name], z) for name in names}
 
 
 def _scalar_jets(field, points, order):
