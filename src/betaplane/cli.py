@@ -134,9 +134,9 @@ def _dispatch(args) -> int:
 
     if args.command == "ic":
         cfg = parse_config_file(args.config)
+        psi = generate_initial_condition(cfg)
         out = _out_dir(args.out_dir, cfg)
         out.mkdir(parents=True, exist_ok=True)
-        psi = generate_initial_condition(cfg)
         write_snapshot(out / "ic.bpf", psi, 0.0)
         print(out / "ic.bpf")
         return EXIT_OK

@@ -250,7 +250,13 @@ def generate_initial_condition(cfg: RunConfig) -> RealField:
 
     target = np.zeros(n_shells + 1)
     ms = np.arange(1, n_shells + 1, dtype=float)
-    target[1:] = ms**ic.p / (1.0 + ms / ic.k0) ** ic.q
+    with np.errstate(over="ignore", invalid="ignore"):
+        target[1:] = ms**ic.p / (1.0 + ms / ic.k0) ** ic.q
+    energy = float(np.sum(target))
+    if not math.isfinite(energy):
+        raise ConfigError(f"ic p = {ic.p!r} overflows the start spectrum m^p")
+    if energy <= 0.0:
+        raise ConfigError("initial spectrum has no energy")
 
     gain = np.zeros(n_shells + 1)
     ok = current > 0.0
@@ -259,8 +265,11 @@ def generate_initial_condition(cfg: RunConfig) -> RealField:
     psihat *= gain[np.minimum(ws.shell, n_shells)]
 
     psi = np.fft.irfft2(psihat, s=grid.shape)
-    energy = float(np.sum(target))
-    if energy <= 0.0:
-        raise ConfigError("initial spectrum has no energy")
-    psi *= np.sqrt(ic.amplitude / energy)
-    return RealField(grid, psi - psi.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi *= np.sqrt(ic.amplitude / energy)
+        psi -= psi.mean()
+    if not np.isfinite(psi).all():
+        raise ConfigError(f"ic amplitude = {ic.amplitude!r} overflows the "
+                          f"start field on a grid of lx = {grid.lx!r}, "
+                          f"ly = {grid.ly!r}")
+    return RealField(grid, psi)

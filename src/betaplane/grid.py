@@ -12,6 +12,7 @@ float64 array; all numerics operate on the raw array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,15 @@ class Grid:
             )
         if not (self.lx > 0 and self.ly > 0):
             raise GridConfigError("domain lengths must be positive")
+        # spectral.workspace squares the wavenumbers and stores each
+        # mode's shell, |k| in units of 2*pi/lx, as an int32
+        kx, ky = math.pi * self.nx / self.lx, math.pi * self.ny / self.ly
+        shell = math.hypot(self.nx / 2, self.ny / 2 * (self.lx / self.ly))
+        if not (math.isfinite(kx * kx + ky * ky) and shell + 0.5 < 2**31):
+            raise GridConfigError(
+                f"grid lx = {self.lx!r}, ly = {self.ly!r}: the wavenumbers or "
+                f"shell indices of a {self.nx}x{self.ny} grid are out of range"
+            )
 
     @property
     def dx(self) -> float:

@@ -84,15 +84,6 @@ class FrameParameters:
     f_derivs: tuple[float, ...]
     h_derivs: tuple[float, ...]
 
-    def group_element(self, t: float, y: float) -> GroupElement:
-        """Polynomial group element realizing the frame at the jet point."""
-        f = TimeFunction.from_taylor(t, self.f_derivs)
-        g_derivs = [
-            h + fk1 * y for h, fk1 in zip(self.h_derivs, self.f_derivs[1:])
-        ]
-        g = TimeFunction.from_taylor(t, g_derivs)
-        return GroupElement(self.eps1, self.eps2, self.eps3, f, g)
-
 
 # ---------------------------------------------------------------------------
 # Prolonged action: Psi_alpha = e^{w e1}((D_t - f' D_x)^{a1} psi_{0 a2 a3}

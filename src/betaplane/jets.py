@@ -102,14 +102,6 @@ class AnalyticField:
 
     terms: tuple[tuple[float, float, float, float, float], ...]
 
-    # A field hashes as its terms; the nested tuple is hashed once.
-    def __hash__(self) -> int:
-        return self._hash
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash(self.terms)
-
     @classmethod
     def from_terms(cls, terms: Iterable[Iterable[float]]) -> "AnalyticField":
         return cls(tuple(tuple(float(v) for v in t) for t in terms))
@@ -252,38 +244,24 @@ def _exact_jets(field: AnalyticField, points, order: int) -> list[Jet | None]:
 
 @dataclass(frozen=True)
 class TimeFunction:
-    """Polynomial in (t - t0) with exact derivatives of every order."""
+    """Polynomial in t, sum coeffs[j] * t**j, with exact derivatives of
+    every order."""
 
     coeffs: tuple[float, ...]
-    t0: float = 0.0
 
     @classmethod
     def zero(cls) -> "TimeFunction":
         return cls((0.0,))
 
     @classmethod
-    def from_taylor(cls, t0: float, derivs: Iterable[float]) -> "TimeFunction":
-        """Polynomial with prescribed derivative values at t0."""
-        coeffs = tuple(d / math.factorial(k) for k, d in enumerate(derivs))
-        return cls(coeffs, t0=float(t0))
-
-    @classmethod
     def random(cls, rng: np.random.Generator, degree: int = 4) -> "TimeFunction":
         return cls(tuple(rng.uniform(-1.0, 1.0) for _ in range(degree + 1)))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return all(c == 0.0 for c in self.coeffs)
-
     def derivative(self, k: int, t: float) -> float:
-        s = t - self.t0
         total = 0.0
         for j in range(k, len(self.coeffs)):
             total += (
-                self.coeffs[j] * math.factorial(j) / math.factorial(j - k) * s ** (j - k)
+                self.coeffs[j] * math.factorial(j) / math.factorial(j - k) * t ** (j - k)
             )
         return total
 
@@ -292,30 +270,6 @@ class TimeFunction:
 
     def derivative_values(self, t: float, up_to: int) -> list[float]:
         return [self.derivative(k, t) for k in range(up_to + 1)]
-
-    def affine_argument(self, scale: float, shift: float) -> "TimeFunction":
-        """Return s -> self(scale*s + shift) as a polynomial in s."""
-        # expand about s0 = 0 via Taylor of self at t = shift
-        derivs = [
-            self.derivative(k, shift) * scale**k for k in range(len(self.coeffs))
-        ]
-        return TimeFunction.from_taylor(0.0, derivs)
-
-    def __mul__(self, scalar: float) -> "TimeFunction":
-        return TimeFunction(tuple(scalar * c for c in self.coeffs), self.t0)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "TimeFunction") -> "TimeFunction":
-        if self.t0 != other.t0:
-            # re-expand the other polynomial about self.t0
-            other = TimeFunction.from_taylor(
-                self.t0, other.derivative_values(self.t0, other.degree)
-            )
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0.0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0.0] * (n - len(other.coeffs))
-        return TimeFunction(tuple(x + y for x, y in zip(a, b)), self.t0)
 
 
 # ---------------------------------------------------------------------------

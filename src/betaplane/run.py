@@ -91,13 +91,12 @@ def run_experiment(cfg: RunConfig, out_dir=None) -> RunResult:
     the snapshot of the last finite state is retained as
     snapshot_lastgood.bpf along with the diagnostics rows up to it.
     """
-    out = Path(out_dir if out_dir is not None else cfg.output.resolved_dir())
-    out.mkdir(parents=True, exist_ok=True)
     t_wall = _time.perf_counter()
-
     psi0, dt = resolve_start(cfg)
     params = cfg.model_params(dt)
     zeta0 = laplacian(psi0)
+    out = Path(out_dir if out_dir is not None else cfg.output.resolved_dir())
+    out.mkdir(parents=True, exist_ok=True)
 
     last_state = None
     snap_every = cfg.output.snapshot_every

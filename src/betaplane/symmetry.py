@@ -22,7 +22,7 @@ import math
 from .config import RunConfig
 from .diagnostics import energy_spectrum
 from .dynamics import InstabilityError, integrate
-from .grid import Grid, RealField
+from .grid import Grid, GridConfigError, RealField
 from .invariants import GroupElement
 from .run import _fmt, resolve_start
 from .spectral import laplacian, spectral_shift
@@ -32,7 +32,8 @@ import numpy as np
 
 class HarnessDomainError(ValueError):
     """Group element outside the harness subgroup (nonlinear f,
-    non-constant g), or one whose transformed setup floats cannot hold."""
+    non-constant g), or one whose transformed setup or spectrum floats
+    cannot hold."""
 
 
 class ExperimentInstabilityError(RuntimeError):
@@ -70,30 +71,37 @@ def transform_setup(gel: GroupElement, cfg: RunConfig,
     the initial streamfunction picks up the weight e^{-3 eps1}, the
     spatial shift and the constant gauge; the boost's -f'(t)*y ramp has
     no periodic representation and is carried as the mean velocity
-    e^{-2 eps1}*(u0 + f'). Raises HarnessDomainError when a grid
-    spacing, dt, the weight, the mean velocity or the start field of
-    the transformed setup is zero or overflows.
+    e^{-2 eps1}*(u0 + f'). Raises HarnessDomainError when the grid,
+    dt, the weight, the mean velocity or the start field of the
+    transformed setup is zero or overflows, or when a comparison shell
+    that holds energy in psi0 is empty or not finite in the transformed
+    start field.
     """
     f0, c = _check_harness(gel)
     grid = cfg.grid
     out_of_range = (f"eps1 = {gel.eps1!r}, boost = {c!r}: the transformed "
-                    "grid, dt or start field is out of floating-point range")
+                    "grid, dt, start field or its spectrum is out of "
+                    "floating-point range")
     try:
         scale = math.exp(-gel.eps1)
-        lx, ly, dt = grid.lx * scale, grid.ly * scale, cfg.dt / scale
+        grid_b = Grid(grid.nx, grid.ny, grid.lx * scale, grid.ly * scale)
+        dt = cfg.dt / scale
         weight, mean_velocity = scale**3, scale**2 * (cfg.mean_velocity + c)
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (OverflowError, ZeroDivisionError, GridConfigError) as exc:
         raise HarnessDomainError(out_of_range) from exc
     shifted = spectral_shift(psi0, f0, gel.eps3)
     with np.errstate(over="ignore"):
         values_b = weight * (shifted.values + gel.g(0.0))
-    spacings = (lx / grid.nx, ly / grid.ny, dt, weight)
-    if not (all(0.0 < v < math.inf for v in spacings)
+    if not (0.0 < dt < math.inf and 0.0 < weight < math.inf
             and math.isfinite(mean_velocity) and np.isfinite(values_b).all()):
         raise HarnessDomainError(out_of_range)
-    grid_b = Grid(grid.nx, grid.ny, lx, ly)
+    psi_b = RealField(grid_b, values_b)
+    shells_b = _comparison_shells(psi_b)
+    held = _comparison_shells(psi0) > 0.0
+    if not ((shells_b > 0.0) & np.isfinite(shells_b))[held].all():
+        raise HarnessDomainError(out_of_range)
     cfg_b = replace(cfg, grid=grid_b, dt=dt, mean_velocity=mean_velocity)
-    return cfg_b, RealField(grid_b, values_b)
+    return cfg_b, psi_b
 
 
 def pullback_field(gel: GroupElement, field: RealField, grid: Grid,
@@ -112,11 +120,19 @@ def pullback_field(gel: GroupElement, field: RealField, grid: Grid,
     return RealField(grid, math.exp(-weight * gel.eps1) * unshifted.values)
 
 
-def _normalized_log_spectrum(psi: RealField, n_use: int) -> np.ndarray:
-    shells = energy_spectrum(psi).shells
-    if shells[0] <= 0.0 or np.any(shells[1:n_use] <= 0.0):
-        raise ValueError("spectrum has empty shells in the comparison range")
-    return np.log10(shells[1:n_use] / shells[0])
+def _comparison_shells(psi: RealField) -> np.ndarray:
+    """Shell energies 1..max(2, nx//4), the range the spectra are
+    compared over; an overflow or underflow shows as inf, nan or 0."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return energy_spectrum(psi).shells[: max(2, psi.grid.nx // 4)]
+
+
+def _normalized_log_spectrum(psi: RealField) -> np.ndarray:
+    shells = _comparison_shells(psi)
+    if not (np.all(shells > 0.0) and np.isfinite(shells).all()):
+        raise HarnessDomainError(
+            "spectrum has empty or non-finite shells in the comparison range")
+    return np.log10(shells[1:] / shells[0])
 
 
 def equivariance_experiment(cfg: RunConfig,
@@ -149,9 +165,8 @@ def equivariance_experiment(cfg: RunConfig,
     den = np.linalg.norm(ref)
     field_rel_err = float(num / den) if den > 0 else float(num)
 
-    n_use = max(2, cfg.grid.nx // 4)
-    log_a = _normalized_log_spectrum(state_a.psi_curr, n_use)
-    log_b = _normalized_log_spectrum(state_b.psi_curr, n_use)
+    log_a = _normalized_log_spectrum(state_a.psi_curr)
+    log_b = _normalized_log_spectrum(state_b.psi_curr)
     spectrum_rms = float(np.sqrt(np.mean((log_a - log_b) ** 2)))
     return EquivarianceReport(
         field_rel_err=field_rel_err,

@@ -292,6 +292,27 @@ def test_out_of_range_filter_is_a_config_error(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("given, hostile, key", [
+    ("[ic]\n", "[ic]\np = 1000\n", "p"),
+    ("amplitude = 1.0", "amplitude = 1e308", "amplitude"),
+    # the wavenumbers squared overflow
+    ("lx = 6.283185307179586", "lx = 1e-300", "lx"),
+    # the shell index of the y modes overflows the int32 shell table
+    ("lx = 6.283185307179586", "lx = 1e300", "lx"),
+], ids=["p=1000", "amplitude=1e308", "lx=1e-300", "lx=1e300"])
+def test_out_of_range_start_is_a_config_error(tmp_path, capsys, given,
+                                              hostile, key):
+    path = tmp_path / "bad.ini"
+    path.write_text(SMALL_RUN.replace(given, hostile, 1))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert f"{key} = " in line
+    assert not out.exists()
+
+
 def test_missing_file_exit_code(tmp_path):
     assert main(["run", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
 
@@ -346,6 +367,12 @@ def _exit_code(argv) -> int:
     (["--eps1", "-236.5"], "eps1"),
     (["--eps1", "0", "--eps3", "inf"], "--eps3"),
     (["--eps1", "0", "--boost", "inf"], "--boost"),
+    # the weighted start spectrum underflows to empty shells
+    (["--eps1", "200"], "eps1"),
+    # the weighted start field is finite, its transform is not
+    (["--eps1", "-236.3"], "eps1"),
+    # the start spectrum overflows, as the first step would
+    (["--eps1", "-200"], "eps1"),
 ])
 def test_equivariance_bad_group_parameter_exit(config_file, tmp_path, capsys,
                                                args, name):

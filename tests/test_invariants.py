@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from betaplane.invariants import (
     GroupElement,
@@ -71,25 +72,40 @@ def compose(outer: GroupElement, inner: GroupElement) -> GroupElement:
     leaves the canonical form only for f = 0, which is all the
     composition-consistency checks need.
     """
-    if not outer.f.is_zero() or not inner.f.is_zero():
+    if any(outer.f.coeffs) or any(inner.f.coeffs):
         raise ValueError("composition is only supported for boost-free elements")
     e1 = inner.eps1 + outer.eps1
     e2 = inner.eps2 + math.exp(-inner.eps1) * outer.eps2
     e3 = inner.eps3 + math.exp(inner.eps1) * outer.eps3
     # Psi2 = e^{-3(e1a+e1b)} (psi + g_in(t) + e^{3 e1_in} g_out(T_in(t)))
-    g_out_of_t = outer.g.affine_argument(
-        math.exp(inner.eps1), math.exp(inner.eps1) * inner.eps2
-    )
-    # affine_argument gives s -> g_out(scale*s + shift); we need argument
-    # e^{e1_in} (t + e2_in) = e^{e1_in} t + e^{e1_in} e2_in
-    g = inner.g + math.exp(3.0 * inner.eps1) * g_out_of_t
-    return GroupElement(e1, e2, e3, TimeFunction.zero(), g)
+    # with T_in(t) = e^{e1_in} t + e^{e1_in} e2_in
+    t_in = Polynomial([math.exp(inner.eps1) * inner.eps2, math.exp(inner.eps1)])
+    g = (Polynomial(inner.g.coeffs)
+         + math.exp(3.0 * inner.eps1) * Polynomial(outer.g.coeffs)(t_in))
+    return GroupElement(e1, e2, e3, TimeFunction.zero(),
+                        TimeFunction(tuple(g.coef.tolist())))
+
+
+class TaylorData:
+    """A time function given by its derivatives at the jet's own time,
+    zero past the last: all prolong_action reads of f and g."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def derivative_values(self, t: float, up_to: int) -> list[float]:
+        return (self.values + [0.0] * (up_to + 1))[: up_to + 1]
 
 
 def invariantize(z: Jet) -> Jet:
-    """Apply the jet's own frame: prolong_action(frame(z), z)."""
-    t, _, y = z.point
-    return prolong_action(moving_frame(z).group_element(t, y), z)
+    """Apply the jet's own frame: prolong_action(frame(z), z), with
+    g^{(k)} = h^{(k)} + f^{(k+1)} y at the jet point."""
+    frame = moving_frame(z)
+    y = z.point[2]
+    g_derivs = [h + fk1 * y for h, fk1 in zip(frame.h_derivs, frame.f_derivs[1:])]
+    gel = GroupElement(frame.eps1, frame.eps2, frame.eps3,
+                       TaylorData(frame.f_derivs), TaylorData(g_derivs))
+    return prolong_action(gel, z)
 
 
 def invariant_representation_residual(z: Jet, beta: float) -> float:

@@ -260,12 +260,6 @@ def test_jet_cache_is_bounded():
             assert maxsize is not None and maxsize <= 64, name
 
 
-def test_field_hash_is_the_terms_hash(field):
-    twin = AnalyticField.from_terms(field.terms)
-    assert twin == field and twin is not field
-    assert hash(twin) == hash(field) == hash(field.terms)
-
-
 def test_jet_order_cap(field):
     with pytest.raises(JetOrderError):
         analytic_jet(field, POINT, MAX_JET_ORDER + 1)
@@ -290,28 +284,6 @@ def test_time_function_evaluation_and_derivatives():
     assert f.derivative(1, 0.5) == pytest.approx(2.0 + 3.0)
     assert f.derivative(2, 0.5) == pytest.approx(6.0)
     assert f.derivative(3, 0.5) == 0.0
-
-
-def test_time_function_from_taylor():
-    f = TimeFunction.from_taylor(1.5, [2.0, -1.0, 4.0])
-    assert f(1.5) == pytest.approx(2.0)
-    assert f.derivative(1, 1.5) == pytest.approx(-1.0)
-    assert f.derivative(2, 1.5) == pytest.approx(4.0)
-
-
-def test_time_function_affine_argument():
-    f = TimeFunction((0.0, 1.0, 2.0))  # t + 2t^2
-    g = f.affine_argument(3.0, 0.5)  # g(s) = f(3s + 0.5)
-    for s in (-1.0, 0.0, 0.7):
-        assert g(s) == pytest.approx(f(3.0 * s + 0.5))
-
-
-def test_time_function_algebra():
-    f = TimeFunction((1.0, 2.0))
-    g = TimeFunction((0.5, -1.0, 3.0))
-    for t in (-0.3, 1.2):
-        assert (f + g)(t) == pytest.approx(f(t) + g(t))
-        assert (2.5 * f)(t) == pytest.approx(2.5 * f(t))
 
 
 @settings(max_examples=30, deadline=None)
