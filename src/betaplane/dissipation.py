@@ -72,25 +72,26 @@ def _finite(spec: "DissipationSpec", values: np.ndarray) -> np.ndarray:
 
 def dissipation(spec: DissipationSpec, psi: RealField, zeta: RealField,
                 beta: float = 0.0) -> RealField:
-    """Evaluate the closure D on the grid."""
+    """Evaluate the closure D on the grid, checked finite."""
     psi_x = spectral_derivative(psi, "x").values if spec.kind in _NEEDS_PSI_X else None
-    return closure(spec, psi, psi_x, zeta, beta)
+    return RealField(psi.grid, closure(spec, psi, psi_x, zeta, beta))
 
 
 def closure(spec: DissipationSpec, psi: RealField, psi_x: np.ndarray | None,
-            zeta: RealField, beta: float) -> RealField:
-    """The closure D given psi_x = d(psi)/dx from the caller.
+            zeta: RealField, beta: float) -> np.ndarray:
+    """The closure D as an array, given psi_x = d(psi)/dx from the caller.
 
     The stepper carries psi_x with its streamfunction, so the closures
     that weight by |psi_x| transform nothing to get it. psi_x may be
-    None for the kinds that do not use it.
+    None for the kinds that do not use it. A non-finite D raises
+    DissipationOverflowError.
     """
     grid = psi.grid
     n, nu, K = spec.n, spec.nu, spec.K
     sign = (-1.0) ** (n - 1)
 
     if spec.kind == "none":
-        return RealField(grid, np.zeros(grid.shape))
+        return np.zeros(grid.shape)
 
     if spec.kind == "classical":
         d = sign * nu * laplacian(zeta, n).values
@@ -132,4 +133,4 @@ def closure(spec: DissipationSpec, psi: RealField, psi_x: np.ndarray | None,
     else:  # pragma: no cover - guarded by DissipationSpec
         raise ValueError(spec.kind)
 
-    return RealField(grid, _finite(spec, d))
+    return _finite(spec, d)

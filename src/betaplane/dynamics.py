@@ -71,15 +71,17 @@ def _zero_mean(values: np.ndarray) -> np.ndarray:
     return values - values.mean()
 
 
-def _level(zeta_prev: RealField, zeta_curr: RealField, step: int,
-           time: float) -> SimState:
+def _level(grid: Grid, zeta_prev: np.ndarray, zeta_curr: np.ndarray,
+           step: int, time: float) -> SimState:
     """State whose psi_curr and psi_x come from one transform of zeta_curr.
 
-    rfft2 gives psi_hat = -zeta_hat/k^2, and two irfft2 give psi and
-    psi_x: three transforms where a Poisson solve plus a separate
-    derivative of psi would take four.
+    Each new field is checked once, where it is wrapped: both vorticity
+    levels before the transforms, then psi and psi_x. rfft2 gives psi_hat
+    = -zeta_hat/k^2, and two irfft2 give psi and psi_x: three transforms
+    where a Poisson solve and a separate derivative of psi take four.
     """
-    grid = zeta_curr.grid
+    zeta_prev = RealField(grid, zeta_prev)
+    zeta_curr = RealField(grid, zeta_curr)
     ws = workspace(grid)
     psi_hat = np.fft.rfft2(zeta_curr.values)
     psi_hat *= ws.inv_laplacian
@@ -90,11 +92,12 @@ def _level(zeta_prev: RealField, zeta_curr: RealField, step: int,
                     RealField(grid, psi_x), step, time)
 
 
-def tendency(state: SimState, params: ModelParams) -> RealField:
+def tendency(state: SimState, params: ModelParams) -> np.ndarray:
     """zeta_t = -J(psi, zeta) - beta*psi_x + D, projected to zero mean.
 
     Advection and the beta term act on the current level; the closure on
     the lagged level (with the current streamfunction as coefficient).
+    The result is unchecked: the step that adds it checks its new level.
     """
     grid = state.grid
     adv = arakawa(
@@ -109,23 +112,14 @@ def tendency(state: SimState, params: ModelParams) -> RealField:
         rhs = rhs + closure(
             params.dissipation, state.psi_curr, state.psi_x.values,
             state.zeta_prev, params.beta,
-        ).values
-    return RealField(grid, _zero_mean(rhs))
-
-
-def _guarded_tendency(state: SimState, params: ModelParams) -> RealField:
-    """Tendency with overflow during closure/assembly mapped to
-    InstabilityError at the step being produced."""
-    try:
-        return tendency(state, params)
-    except (ValueError, FloatingPointError) as exc:
-        raise InstabilityError(state.step + 1) from exc
+        )
+    return _zero_mean(rhs)
 
 
 def initial_state(zeta0: RealField) -> SimState:
     """Single-level state at t = 0; bootstrap before stepping."""
-    z = RealField(zeta0.grid, _zero_mean(zeta0.values))
-    return _level(z, z, step=0, time=0.0)
+    z = _zero_mean(zeta0.values)
+    return _level(zeta0.grid, z, z, step=0, time=0.0)
 
 
 def bootstrap(state0: SimState, params: ModelParams) -> SimState:
@@ -133,38 +127,38 @@ def bootstrap(state0: SimState, params: ModelParams) -> SimState:
 
     Forward-Euler half step to the midpoint, then a centered full step
     using the midpoint tendency; first-order start-up that leaves the
-    global leapfrog error at O(dt^2).
+    global leapfrog error at O(dt^2). Any non-finite or overflowing new
+    field is an InstabilityError at the step being produced.
     """
     grid = state0.grid
     dt = params.dt
-    t0 = _guarded_tendency(state0, params)
-    z_half = RealField(grid, _zero_mean(state0.zeta_curr.values + 0.5 * dt * t0.values))
-    mid = _level(z_half, z_half, state0.step, state0.time + 0.5 * dt)
-    t_half = _guarded_tendency(mid, params)
-    z1 = RealField(grid, _zero_mean(state0.zeta_curr.values + dt * t_half.values))
-    if not np.all(np.isfinite(z1.values)):
-        raise InstabilityError(state0.step + 1)
-    return _level(state0.zeta_curr, z1, state0.step + 1, state0.time + dt)
+    zeta0 = state0.zeta_curr.values
+    try:
+        z_half = _zero_mean(zeta0 + 0.5 * dt * tendency(state0, params))
+        mid = _level(grid, z_half, z_half, state0.step, state0.time + 0.5 * dt)
+        z1 = _zero_mean(zeta0 + dt * tendency(mid, params))
+        return _level(grid, zeta0, z1, state0.step + 1, state0.time + dt)
+    except (ValueError, FloatingPointError) as exc:
+        raise InstabilityError(state0.step + 1) from exc
 
 
 def step_leapfrog_raw(state: SimState, params: ModelParams) -> SimState:
-    """One leapfrog step with the Robert-Asselin-Williams filter."""
-    grid = state.grid
+    """One leapfrog step with the Robert-Asselin-Williams filter; any
+    non-finite or overflowing new field is an InstabilityError."""
     dt = params.dt
-    tend = _guarded_tendency(state, params)
-    z_new = state.zeta_prev.values + 2.0 * dt * tend.values
-    if params.raw_gamma > 0.0:
-        d = params.raw_gamma * (state.zeta_prev.values - 2.0 * state.zeta_curr.values + z_new)
-        z_mid = state.zeta_curr.values + params.raw_alpha * d
-        z_new = z_new + (params.raw_alpha - 1.0) * d
-    else:
-        z_mid = state.zeta_curr.values
-    z_new = _zero_mean(z_new)
-    z_mid = _zero_mean(z_mid)
-    if not np.all(np.isfinite(z_new)):
-        raise InstabilityError(state.step + 1)
-    return _level(RealField(grid, z_mid), RealField(grid, z_new),
-                  state.step + 1, state.time + dt)
+    try:
+        z_new = state.zeta_prev.values + 2.0 * dt * tendency(state, params)
+        if params.raw_gamma > 0.0:
+            d = params.raw_gamma * (state.zeta_prev.values - 2.0 * state.zeta_curr.values + z_new)
+            z_mid = state.zeta_curr.values + params.raw_alpha * d
+            z_new = z_new + (params.raw_alpha - 1.0) * d
+        else:
+            z_mid = state.zeta_curr.values
+        z_new = _zero_mean(z_new)
+        z_mid = _zero_mean(z_mid)
+        return _level(state.grid, z_mid, z_new, state.step + 1, state.time + dt)
+    except (ValueError, FloatingPointError) as exc:
+        raise InstabilityError(state.step + 1) from exc
 
 
 def integrate(zeta0: RealField, params: ModelParams, steps: int,

@@ -43,14 +43,19 @@ class Grid:
             )
         if not (self.lx > 0 and self.ly > 0):
             raise GridConfigError("domain lengths must be positive")
-        # spectral.workspace squares the wavenumbers and stores each
-        # mode's shell, |k| in units of 2*pi/lx, as an int32
+        # spectral.workspace squares the wavenumbers, inverts the least
+        # square for the Poisson solve and stores each mode's shell, |k|
+        # in units of 2*pi/lx, as an int32; integrals weight by dx*dy
         kx, ky = math.pi * self.nx / self.lx, math.pi * self.ny / self.ly
         shell = math.hypot(self.nx / 2, self.ny / 2 * (self.lx / self.ly))
-        if not (math.isfinite(kx * kx + ky * ky) and shell + 0.5 < 2**31):
+        k_min = 2.0 * math.pi / max(self.lx, self.ly)
+        if not (math.isfinite(kx * kx + ky * ky) and shell + 0.5 < 2**31
+                and math.isfinite(self.dx * self.dy) and k_min * k_min > 0.0
+                and math.isfinite(1.0 / (k_min * k_min))):
             raise GridConfigError(
-                f"grid lx = {self.lx!r}, ly = {self.ly!r}: the wavenumbers or "
-                f"shell indices of a {self.nx}x{self.ny} grid are out of range"
+                f"grid lx = {self.lx!r}, ly = {self.ly!r}: the cell area, "
+                f"wavenumbers or shell indices of a {self.nx}x{self.ny} grid "
+                "are out of range"
             )
 
     @property

@@ -102,7 +102,6 @@ def run_experiment(cfg: RunConfig, out_dir=None) -> RunResult:
     snap_every = cfg.output.snapshot_every
     spec_every = cfg.output.spectrum_every
     status = EXIT_OK
-    steps_done = 0
 
     with open(out / "diagnostics.csv", "w", newline="") as diag_fh:
         diag = csv.writer(diag_fh)
@@ -110,9 +109,8 @@ def run_experiment(cfg: RunConfig, out_dir=None) -> RunResult:
                        "x_momentum"])
 
         def observer(state):
-            nonlocal last_state, steps_done
+            nonlocal last_state
             last_state = state
-            steps_done = state.step
             rec = integrals(state.psi_curr, state.zeta_curr, cfg.beta,
                             state.time)
             diag.writerow([_fmt(rec.time), _fmt(rec.energy),
@@ -133,6 +131,7 @@ def run_experiment(cfg: RunConfig, out_dir=None) -> RunResult:
                 write_snapshot(out / "snapshot_lastgood.bpf",
                                last_state.psi_curr, last_state.time)
 
+    steps_done = last_state.step if last_state is not None else 0
     manifest = {
         "config": config_echo(cfg, dt),
         "version": __version__,

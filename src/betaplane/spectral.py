@@ -110,25 +110,20 @@ def derive(f: RealField, *factors: np.ndarray) -> list[np.ndarray]:
     return [np.fft.irfft2(fhat * factor, s=f.grid.shape) for factor in factors]
 
 
-def _apply(f: RealField, factor: np.ndarray) -> RealField:
-    """irfft2(rfft2(f) * factor) on f's grid."""
-    fhat = np.fft.rfft2(f.values)
-    fhat *= factor
-    return RealField(f.grid, np.fft.irfft2(fhat, s=f.grid.shape))
-
-
 def spectral_derivative(f: RealField, axis: str, order: int = 1) -> RealField:
     """d^order f / d axis^order by multiplication with (i k)^order."""
     if order < 1:
         raise ValueError("derivative order must be >= 1")
-    return _apply(f, workspace(f.grid).derivative_factor(axis, order))
+    (values,) = derive(f, workspace(f.grid).derivative_factor(axis, order))
+    return RealField(f.grid, values)
 
 
 def laplacian(f: RealField, power: int = 1) -> RealField:
     """Delta^power f computed spectrally."""
     if power < 1:
         raise ValueError("laplacian power must be >= 1")
-    return _apply(f, (-workspace(f.grid).k2) ** power)
+    (values,) = derive(f, (-workspace(f.grid).k2) ** power)
+    return RealField(f.grid, values)
 
 
 def spectral_shift(f: RealField, shift_x: float, shift_y: float) -> RealField:

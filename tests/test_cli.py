@@ -73,6 +73,65 @@ amplitude = 100.0
 seed = 1
 """
 
+# Two runs whose new vorticity level is finite while its streamfunction
+# overflows, each with the step after which it stops: the default domain
+# under a strong invariant hyperdiffusion, and a large domain with none.
+PSI_OVERFLOW_RUNS = [("""
+[grid]
+nx = 16
+ny = 16
+
+[model]
+dt = 100
+steps = 200
+
+[dissipation]
+kind = invariant_hyper
+n = 2
+nu = 1e-3
+
+[ic]
+k0 = 3
+amplitude = 1e6
+seed = 3
+""", 6), ("""
+[grid]
+nx = 16
+ny = 16
+lx = 1e7
+ly = 1e7
+
+[model]
+dt = 1e3
+steps = 200
+
+[ic]
+k0 = 3
+seed = 2
+""", 16)]
+
+# The reference run of this tiny start on a huge domain overflows its
+# first step.
+UNSTABLE_EQUIVARIANCE_RUN = """
+[grid]
+nx = 16
+ny = 16
+lx = 1e150
+ly = 1e150
+
+[model]
+dt = auto
+steps = 3
+
+[dissipation]
+kind = invariant_hyper
+nu = 1e-8
+
+[ic]
+k0 = 2
+amplitude = 1e-300
+"""
+
 
 @pytest.fixture
 def config_file(tmp_path):
@@ -237,17 +296,23 @@ def test_run_determinism_byte_identical(config_file, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_unstable_run_exit_code_and_lastgood(tmp_path):
-    path = tmp_path / "bad.ini"
-    path.write_text(UNSTABLE_RUN)
-    out = tmp_path / "out"
-    assert main(["run", str(path), "--out-dir", str(out)]) == EXIT_INSTABILITY
-    assert (out / "snapshot_lastgood.bpf").exists()
-    psi, _ = read_snapshot(out / "snapshot_lastgood.bpf")
-    assert np.all(np.isfinite(psi.values))
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "instability"
-    assert manifest["steps_completed"] < manifest["steps_requested"]
+def test_unstable_run_exit_code_and_lastgood(tmp_path, capsys):
+    for i, (text, step) in enumerate([(UNSTABLE_RUN, None),
+                                      *PSI_OVERFLOW_RUNS]):
+        path = tmp_path / f"bad{i}.ini"
+        path.write_text(text)
+        out = tmp_path / f"out{i}"
+        assert main(["run", str(path), "--out-dir", str(out)]) == EXIT_INSTABILITY
+        assert (out / "snapshot_lastgood.bpf").exists()
+        psi, _ = read_snapshot(out / "snapshot_lastgood.bpf")
+        assert np.all(np.isfinite(psi.values))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "instability"
+        assert manifest["steps_completed"] < manifest["steps_requested"]
+        if step is not None:
+            assert manifest["steps_completed"] == step
+            assert (f"instability after step {step};"
+                    in capsys.readouterr().err)
 
 
 def test_config_error_exit_code(tmp_path):
@@ -299,7 +364,14 @@ def test_out_of_range_filter_is_a_config_error(tmp_path, capsys, key, value):
     ("lx = 6.283185307179586", "lx = 1e-300", "lx"),
     # the shell index of the y modes overflows the int32 shell table
     ("lx = 6.283185307179586", "lx = 1e300", "lx"),
-], ids=["p=1000", "amplitude=1e308", "lx=1e-300", "lx=1e300"])
+    # the cell area overflows and the longest wave's k^2 underflows to 0
+    ("lx = 6.283185307179586\nly = 6.283185307179586",
+     "lx = 1e200\nly = 1e200", "ly"),
+    # the Poisson solve's 1/k^2 of the longest wave overflows
+    ("lx = 6.283185307179586\nly = 6.283185307179586",
+     "lx = 1e155\nly = 1e155", "ly"),
+], ids=["p=1000", "amplitude=1e308", "lx=1e-300", "lx=1e300",
+        "lx=ly=1e200", "lx=ly=1e155"])
 def test_out_of_range_start_is_a_config_error(tmp_path, capsys, given,
                                               hostile, key):
     path = tmp_path / "bad.ini"
@@ -341,14 +413,17 @@ def test_equivariance_subcommand(config_file, tmp_path, capsys):
 
 
 def test_equivariance_instability_exit(tmp_path, capsys):
-    path = tmp_path / "bad.ini"
-    path.write_text(UNSTABLE_RUN)
-    out = tmp_path / "eq"
-    rc = main(["equivariance", str(path), "--eps1", "1.0",
-               "--out-dir", str(out)])
-    assert rc == EXIT_INSTABILITY
-    assert "reference run unstable at step 6" in capsys.readouterr().err
-    assert not (out / "equivariance.csv").exists()
+    for i, (text, eps1, step) in enumerate([
+            (UNSTABLE_RUN, "1.0", 6), (UNSTABLE_EQUIVARIANCE_RUN, "0.5", 1)]):
+        path = tmp_path / f"bad{i}.ini"
+        path.write_text(text)
+        out = tmp_path / f"eq{i}"
+        rc = main(["equivariance", str(path), "--eps1", eps1,
+                   "--out-dir", str(out)])
+        assert rc == EXIT_INSTABILITY
+        assert (f"reference run unstable at step {step}"
+                in capsys.readouterr().err)
+        assert not (out / "equivariance.csv").exists()
 
 
 def _exit_code(argv) -> int:

@@ -62,7 +62,7 @@ def test_tendency_matches_spectral_rhs(grid):
         psi = np.cos(3 * X + 2 * Y + 0.4) + 0.7 * np.cos(X - 4 * Y + 1.1)
         psi_f = RealField(g, psi - psi.mean())
         state = initial_state(laplacian(psi_f))
-        got = tendency(state, ModelParams(beta=beta, dt=0.01)).values
+        got = tendency(state, ModelParams(beta=beta, dt=0.01))
         # exact: -J(psi, zeta) - beta psi_x for zeta = -13 psi_1 - 17 psi_2
         s1 = np.sin(3 * X + 2 * Y + 0.4)
         s2 = 0.7 * np.sin(X - 4 * Y + 1.1)
