@@ -23,7 +23,7 @@ import numpy as np
 from .dissipation import DissipationSpec
 from .dynamics import ModelParams
 from .grid import Grid, RealField
-from .spectral import shell_sums, workspace
+from .spectral import shell_sums
 
 IC_SHAPES = ("banded-gaussian",)
 
@@ -217,7 +217,11 @@ def config_echo(cfg: RunConfig, dt: float) -> str:
 
 def parse_config_file(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_config(text)
 
 
 def generate_initial_condition(cfg: RunConfig) -> RealField:
@@ -238,14 +242,13 @@ def generate_initial_condition(cfg: RunConfig) -> RealField:
         )
     rng = np.random.default_rng(ic.seed)
     psihat = np.fft.rfft2(rng.standard_normal(grid.shape))
-    ws = workspace(grid)
     # min(nx, ny)//2 shells band-limit the field to the disc both axes
     # resolve (energy_spectrum bins to max(nx, ny)//2 to drop nothing)
     n_shells = min(grid.nx, grid.ny) // 2
 
-    psihat[ws.shell > n_shells] = 0.0  # band-limit the corner modes first
+    psihat[grid.shell > n_shells] = 0.0  # band-limit the corner modes first
     psihat[0, 0] = 0.0
-    mode_e = 0.5 * ws.k2 * np.abs(psihat) ** 2 / (grid.nx * grid.ny) ** 2
+    mode_e = 0.5 * grid.k2 * np.abs(psihat) ** 2 / (grid.nx * grid.ny) ** 2
     current = shell_sums(grid, mode_e, n_shells)
 
     target = np.zeros(n_shells + 1)
@@ -262,7 +265,7 @@ def generate_initial_condition(cfg: RunConfig) -> RealField:
     ok = current > 0.0
     ok[0] = False
     gain[ok] = np.sqrt(target[ok] / current[ok])
-    psihat *= gain[np.minimum(ws.shell, n_shells)]
+    psihat *= gain[np.minimum(grid.shell, n_shells)]
 
     psi = np.fft.irfft2(psihat, s=grid.shape)
     with np.errstate(over="ignore", invalid="ignore"):

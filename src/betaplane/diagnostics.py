@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import RealField
-from .spectral import shell_sums, workspace
+from .spectral import shell_sums
 
 
 @dataclass(frozen=True)
@@ -15,12 +15,10 @@ class SpectrumResult:
     """Shell energies E(m) indexed by the dimensionless wavenumber m >= 1.
 
     shells[m - 1] holds E(m); the sum over shells equals the average
-    kinetic energy (zero mode excluded). anisotropic_warning flags
-    binning done on the x-fundamental of a non-square domain.
+    kinetic energy (zero mode excluded).
     """
 
     shells: np.ndarray
-    anisotropic_warning: bool = False
 
     def shell_range(self) -> np.ndarray:
         return np.arange(1, len(self.shells) + 1)
@@ -65,13 +63,13 @@ def energy_spectrum(psi: RealField) -> SpectrumResult:
     grid = psi.grid
     # mode energies, normalized to average energy (Parseval for the
     # unscaled-forward convention needs 1/(nx*ny)^2)
-    mode_e = 0.5 * workspace(grid).k2 * np.abs(np.fft.rfft2(psi.values)) ** 2
+    mode_e = 0.5 * grid.k2 * np.abs(np.fft.rfft2(psi.values)) ** 2
     mode_e /= (grid.nx * grid.ny) ** 2
     # max(nx, ny)//2 shells, so that no mode of either axis is dropped;
     # bins past it fold into the last one, which only matters in the
     # far corner. Shell 0 (the mean mode) is dropped.
     shells = shell_sums(grid, mode_e, max(grid.nx, grid.ny) // 2)
-    return SpectrumResult(shells=shells[1:], anisotropic_warning=grid.lx != grid.ly)
+    return SpectrumResult(shells=shells[1:])
 
 
 def fit_slope(spec: SpectrumResult, m_lo: int, m_hi: int) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import RealField
 from .kernels import arakawa
-from .spectral import derive, laplacian, spectral_derivative, workspace
+from .spectral import derive, laplacian, spectral_derivative
 
 VARIANTS = (
     "none",
@@ -103,15 +103,13 @@ def closure(spec: DissipationSpec, psi: RealField, psi_x: np.ndarray | None,
         # eta = zeta + beta*y is split analytically so the stencil never
         # sees the non-periodic beta*y ramp:
         # J(psi_y, eta) = J(psi_y, zeta) + beta*psi_xy, eta_yy = zeta_yy.
-        ws = workspace(grid)
-        psi_y, psi_xy = derive(psi, ws.iky, ws.iky * ws.ikx)
+        psi_y, psi_xy = derive(psi, grid.iky, grid.iky * grid.ikx)
         bracket = arakawa(psi_y, zeta.values, grid.dx, grid.dy) + beta * psi_xy
         zeta_yy = spectral_derivative(zeta, "y", 2).values
         d = nu * np.sqrt(np.abs(psi_x)) * (np.sign(psi_x) * bracket + psi_x * zeta_yy)
     elif spec.kind == "conservative_seventh":
         z = zeta.values
-        ws = workspace(grid)
-        lap_z, zx, zy = derive(zeta, -ws.k2, ws.ikx, ws.iky)
+        lap_z, zx, zy = derive(zeta, -grid.k2, grid.ikx, grid.iky)
         with np.errstate(over="ignore", invalid="ignore"):
             inner = _finite(spec, z**5 * lap_z + 6.0 * z**4 * (zx**2 + zy**2))
         d = 7.0 * nu * laplacian(RealField(grid, inner)).values
@@ -120,15 +118,14 @@ def closure(spec: DissipationSpec, psi: RealField, psi_x: np.ndarray | None,
     elif spec.kind == "isotropic_a":
         d = sign * nu * zeta.values ** (2 * n + 1) * laplacian(zeta, n).values
     elif spec.kind == "isotropic_b":
-        ws = workspace(grid)
-        core = (-ws.k2) ** (n - 1)
-        core_x, core_y = derive(zeta, core * ws.ikx, core * ws.iky)
+        core = (-grid.k2) ** (n - 1)
+        core_x, core_y = derive(zeta, core * grid.ikx, core * grid.iky)
         with np.errstate(over="ignore", invalid="ignore"):
             coeff = zeta.values ** (2 * n + 1)
             fx = _finite(spec, coeff * core_x)
             fy = _finite(spec, coeff * core_y)
         # the divergence of (fx, fy) from one inverse transform
-        div_hat = np.fft.rfft2(fx) * ws.ikx + np.fft.rfft2(fy) * ws.iky
+        div_hat = np.fft.rfft2(fx) * grid.ikx + np.fft.rfft2(fy) * grid.iky
         d = sign * nu * np.fft.irfft2(div_hat, s=grid.shape)
     else:  # pragma: no cover - guarded by DissipationSpec
         raise ValueError(spec.kind)

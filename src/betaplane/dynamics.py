@@ -14,7 +14,7 @@ import numpy as np
 from .dissipation import DissipationSpec, closure
 from .grid import Grid, RealField
 from .kernels import arakawa
-from .spectral import derive, spectral_derivative, workspace
+from .spectral import derive, spectral_derivative
 
 
 class InstabilityError(RuntimeError):
@@ -82,11 +82,10 @@ def _level(grid: Grid, zeta_prev: np.ndarray, zeta_curr: np.ndarray,
     """
     zeta_prev = RealField(grid, zeta_prev)
     zeta_curr = RealField(grid, zeta_curr)
-    ws = workspace(grid)
     psi_hat = np.fft.rfft2(zeta_curr.values)
-    psi_hat *= ws.inv_laplacian
+    psi_hat *= grid.inv_laplacian
     psi = np.fft.irfft2(psi_hat, s=grid.shape)
-    psi_hat *= ws.ikx
+    psi_hat *= grid.ikx
     psi_x = np.fft.irfft2(psi_hat, s=grid.shape)
     return SimState(zeta_prev, zeta_curr, RealField(grid, psi),
                     RealField(grid, psi_x), step, time)
@@ -186,8 +185,7 @@ def integrate(zeta0: RealField, params: ModelParams, steps: int,
 def auto_dt(psi: RealField) -> float:
     """Fixed advective step 0.4*min(dx, dy)/max|grad psi|, set at t=0."""
     grid = psi.grid
-    ws = workspace(grid)
-    umax = max(np.abs(u).max() for u in derive(psi, ws.iky, ws.ikx))
+    umax = max(np.abs(u).max() for u in derive(psi, grid.iky, grid.ikx))
     if umax == 0.0:
         raise ValueError("cannot size dt for a quiescent field")
     return 0.4 * min(grid.dx, grid.dy) / umax

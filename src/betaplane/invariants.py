@@ -63,10 +63,6 @@ class GroupElement:
     f: TimeFunction = TimeFunction.zero()
     g: TimeFunction = TimeFunction.zero()
 
-    @classmethod
-    def identity(cls) -> "GroupElement":
-        return cls()
-
 
 @dataclass(frozen=True)
 class FrameParameters:

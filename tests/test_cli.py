@@ -315,10 +315,34 @@ def test_unstable_run_exit_code_and_lastgood(tmp_path, capsys):
                     in capsys.readouterr().err)
 
 
-def test_config_error_exit_code(tmp_path):
+TINY_RUN = b"[grid]\nnx = 16\nny = 16\n[model]\nsteps = 2\n"
+EQUIVARIANCE = ["equivariance", "--eps1", "0.5"]
+
+
+@pytest.mark.parametrize("command, text", [
+    pytest.param(["run"], b"[model]\nstepz = 5\n", id="unknown-key"),
+    *(pytest.param(command, b"\xff" + TINY_RUN, id=f"not-utf8-{command[0]}")
+      for command in (["run"], ["ic"], EQUIVARIANCE)),
+    pytest.param(["run"], b"steps = 2\n" + TINY_RUN, id="no-section-header"),
+    pytest.param(["run"], TINY_RUN + b"[model]\nbeta = 0\n",
+                 id="duplicate-section"),
+    pytest.param(["run"], TINY_RUN + b"steps = 3\n", id="duplicate-key"),
+    pytest.param(["run"], TINY_RUN + b"[ic]\nseed = -1\n", id="negative-seed"),
+    pytest.param(["run"], TINY_RUN + b"[dissipation]\nkind = classical\nn = 0\n",
+                 id="classical-n-0"),
+    pytest.param(["run"], TINY_RUN + b"[ic]\nq = 1e6\n", id="no-ic-energy"),
+])
+def test_config_error_exit_code(tmp_path, capsys, command, text):
     path = tmp_path / "bad.ini"
-    path.write_text("[model]\nstepz = 5\n")
-    assert main(["run", str(path)]) == EXIT_CONFIG
+    path.write_bytes(text)
+    out = tmp_path / "out"
+    assert main([*command, str(path), "--out-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert not out.exists()
+    if text.startswith(b"\xff"):
+        assert str(path) in err
 
 
 @pytest.mark.parametrize("section, key, value", [

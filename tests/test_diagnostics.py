@@ -22,7 +22,8 @@ def full_fft_spectrum_oracle(psi, n_shells):
     into the last."""
     grid = psi.grid
     psihat = np.fft.fft2(psi.values)
-    k2 = grid.kx() ** 2 + grid.ky() ** 2
+    ky = (2.0 * np.pi * np.fft.fftfreq(grid.ny, d=grid.dy))[None, :]
+    k2 = grid.kx ** 2 + ky ** 2
     mode_e = 0.5 * k2 * np.abs(psihat) ** 2 / (grid.nx * grid.ny) ** 2
     kx_idx = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)[:, None]
     ky_idx = np.fft.fftfreq(grid.ny, d=1.0 / grid.ny)[None, :] * (grid.lx / grid.ly)
@@ -112,15 +113,6 @@ def test_spectrum_single_shell(grid):
     assert spec.shells[2] == pytest.approx(0.5 * 9.0, rel=1e-12)  # shell m=3
     others = np.delete(spec.shells, 2)
     assert np.abs(others).max() < 1e-12
-
-
-def test_spectrum_anisotropy_warning():
-    grid = Grid(32, 32, 2.0 * np.pi, 4.0 * np.pi)
-    psi = RealField(grid, np.zeros(grid.shape))
-    assert energy_spectrum(psi).anisotropic_warning
-    assert not energy_spectrum(
-        RealField(Grid(32, 32, 1.0, 1.0), np.zeros((32, 32)))
-    ).anisotropic_warning
 
 
 def test_fit_slope_recovers_power_law(grid):

@@ -35,11 +35,12 @@ def test_grid_rejects_nonpositive_lengths():
 
 def test_wavenumbers_match_fftfreq():
     grid = Grid(16, 16, 2.0 * np.pi, 2.0 * np.pi)
-    kx = grid.kx()[:, 0]
+    kx = grid.kx[:, 0]
     assert kx[0] == 0.0
     assert kx[1] == pytest.approx(1.0)
     assert kx[8] == pytest.approx(-8.0)
-    assert grid.ky()[0, 8] == pytest.approx(-8.0)
+    assert grid.ky.shape == (1, 9)
+    assert grid.ky[0, 8] == pytest.approx(8.0)
 
 
 def test_real_field_shape_mismatch():

@@ -141,7 +141,7 @@ def test_nonphantom_indices_count():
 def test_identity_acts_trivially():
     rng = np.random.default_rng(0)
     z = admissible_jet(rng)
-    z2 = prolong_action(GroupElement.identity(), z)
+    z2 = prolong_action(GroupElement(), z)
     assert z2.point == pytest.approx(z.point)
     for alpha in multi_indices(z.order):
         assert z2[alpha] == pytest.approx(z[alpha], rel=1e-14, abs=1e-14)
@@ -203,7 +203,7 @@ def prolonged_digest(seed, orders=(3, 5, 6, 8), per_order=25):
             if i % 4 == 0:
                 values = [v if v > 0.0 and i else -0.0 for v in values]
             z = Jet(order, point, np.array([*values, 1.0]))
-            gel = random_group_element(rng) if i % 4 else GroupElement.identity()
+            gel = random_group_element(rng) if i % 4 else GroupElement()
             gz = prolong_action(gel, z)
             packed = np.array(gz.point + tuple(gz[a] for a in indices))
             digest.update(packed.astype("<f8").tobytes())
@@ -229,7 +229,7 @@ def test_prolong_action_order_cap():
     indices = multi_indices(MAX_JET_ORDER + 1)
     z = Jet(MAX_JET_ORDER + 1, POINT, np.ones(len(indices) + 1))
     with pytest.raises(JetOrderError):
-        prolong_action(GroupElement.identity(), z)
+        prolong_action(GroupElement(), z)
 
 
 def test_moving_frame_normalization_conditions():

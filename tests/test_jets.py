@@ -218,10 +218,9 @@ def test_no_jet_is_built_around_its_constructor():
 
 
 # The functools caches allowed no bound, each with the key domain that
-# bounds it instead.
+# bounds it instead. The spectral tables of a grid are not among them:
+# they live on the Grid object and are freed with it.
 UNBOUNDED_CACHES = {
-    # one Workspace per grid a process builds
-    "betaplane.spectral.workspace",
     # one polynomial per alpha with |alpha| <= MAX_JET_ORDER
     "betaplane.invariants._invariant_poly",
 }

@@ -1,24 +1,21 @@
 """Spectral derivatives, the stepper's Poisson inversion and shifts
 against analytic trigonometric oracles and a complex-fft2 reference,
-plus the per-grid workspace they share."""
+plus the grid's spectral tables they read."""
 
 from __future__ import annotations
 
-from dataclasses import fields
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from betaplane.dynamics import initial_state
 from betaplane.grid import Grid, RealField
-from betaplane.spectral import (
-    Workspace,
-    derive,
-    laplacian,
-    spectral_derivative,
-    spectral_shift,
-    workspace,
-)
+from betaplane.spectral import derive, laplacian, spectral_derivative, spectral_shift
+
+TABLES = ("kx", "ky", "k2", "inv_laplacian", "ikx", "iky", "shell",
+          "column_weight")
 
 
 def poisson(zeta):
@@ -40,7 +37,7 @@ def test_parseval(grid):
     """Parseval on the half spectrum, each column counted by its weight."""
     rng = np.random.default_rng(1)
     f = rng.standard_normal(grid.shape)
-    weighted = np.abs(np.fft.rfft2(f)) ** 2 * workspace(grid).column_weight
+    weighted = np.abs(np.fft.rfft2(f)) ** 2 * grid.column_weight
     assert np.sum(f**2) == pytest.approx(np.sum(weighted) / f.size, rel=1e-12)
 
 
@@ -128,9 +125,14 @@ def complex_reference(f, factor):
     return np.fft.ifft2(np.fft.fft2(f.values) * factor).real
 
 
+def full_ky(grid):
+    """Angular wavenumbers along y over the full spectrum, shape (1, ny)."""
+    return (2.0 * np.pi * np.fft.fftfreq(grid.ny, d=grid.dy))[None, :]
+
+
 def full_k2(grid):
     """kx^2 + ky^2 on the full (nx, ny) fft grid."""
-    return grid.kx() ** 2 + grid.ky() ** 2
+    return grid.kx ** 2 + full_ky(grid) ** 2
 
 
 def assert_matches(got, ref):
@@ -142,7 +144,7 @@ def assert_matches(got, ref):
 def test_derivative_matches_complex_reference(axis, order):
     grid = ODD_GRID
     f = random_field(grid)
-    k = grid.kx() if axis == "x" else grid.ky()
+    k = grid.kx if axis == "x" else full_ky(grid)
     factor = (1j * k) ** order
     if order % 2:
         if axis == "x":
@@ -181,33 +183,33 @@ def test_odd_derivatives_zero_nyquist_on_both_axes(order):
 
 
 def test_derive_equals_one_transform_per_operator():
-    f = random_field(ODD_GRID)
-    ws = workspace(ODD_GRID)
-    fx, lap, fyy = derive(f, ws.ikx, -ws.k2, ws.derivative_factor("y", 2))
+    grid = ODD_GRID
+    f = random_field(grid)
+    fx, lap, fyy = derive(f, grid.ikx, -grid.k2, -(grid.ky * grid.ky))
     assert np.array_equal(fx, spectral_derivative(f, "x").values)
     assert np.array_equal(lap, laplacian(f).values)
     assert np.array_equal(fyy, spectral_derivative(f, "y", 2).values)
 
 
 def test_workspace_arrays_are_read_only():
-    ws = workspace(ODD_GRID)
-    for field in fields(Workspace):
-        array = getattr(ws, field.name)
+    """The eight spectral tables of a grid reject writes."""
+    for name in TABLES:
+        array = getattr(ODD_GRID, name)
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
         with pytest.raises(ValueError):
             array *= 2.0
 
 
-def test_equal_grids_share_one_workspace():
-    a = Grid(12, 8, 2.0, 3.5)
-    b = Grid(12, 8, 2.0, 3.5)
-    assert a is not b
-    workspace(a)
-    entries = workspace.cache_info().currsize
-    f = random_field(b)
+def test_grid_tables_are_built_once_and_freed_with_the_grid():
+    grid = Grid(12, 8, 2.0, 3.5)
+    f = random_field(grid)
     spectral_derivative(f, "x")
     laplacian(f)
     poisson(f)
-    assert workspace(b) is workspace(a)
-    assert workspace.cache_info().currsize == entries
+    for name in TABLES:
+        assert getattr(grid, name) is getattr(grid, name)
+    dropped = weakref.ref(grid)
+    del grid, f
+    gc.collect()
+    assert dropped() is None
