@@ -156,7 +156,6 @@ def _dispatch(args) -> int:
             g=TimeFunction.zero(),
         )
         out = _out_dir(args.out_dir, cfg)
-        out.mkdir(parents=True, exist_ok=True)
         try:
             report = equivariance_report(cfg, gel, out / "equivariance.csv")
         except ExperimentInstabilityError as exc:

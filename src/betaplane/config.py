@@ -23,7 +23,7 @@ import numpy as np
 from .dissipation import DissipationSpec
 from .dynamics import ModelParams
 from .grid import Grid, RealField
-from .spectral import shell_sums
+from .spectral import shell_energies
 
 IC_SHAPES = ("banded-gaussian",)
 
@@ -248,8 +248,7 @@ def generate_initial_condition(cfg: RunConfig) -> RealField:
 
     psihat[grid.shell > n_shells] = 0.0  # band-limit the corner modes first
     psihat[0, 0] = 0.0
-    mode_e = 0.5 * grid.k2 * np.abs(psihat) ** 2 / (grid.nx * grid.ny) ** 2
-    current = shell_sums(grid, mode_e, n_shells)
+    current = shell_energies(grid, psihat, n_shells)
 
     target = np.zeros(n_shells + 1)
     ms = np.arange(1, n_shells + 1, dtype=float)

@@ -1,4 +1,8 @@
-"""Integral invariants and shell-averaged energy spectra."""
+"""Integral invariants and shell energy spectra.
+
+energy_spectrum returns a plain array of shell energies, E(m) at index
+m - 1; spectral.shell_energies forms them.
+"""
 
 from __future__ import annotations
 
@@ -7,21 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import RealField
-from .spectral import shell_sums
-
-
-@dataclass(frozen=True)
-class SpectrumResult:
-    """Shell energies E(m) indexed by the dimensionless wavenumber m >= 1.
-
-    shells[m - 1] holds E(m); the sum over shells equals the average
-    kinetic energy (zero mode excluded).
-    """
-
-    shells: np.ndarray
-
-    def shell_range(self) -> np.ndarray:
-        return np.arange(1, len(self.shells) + 1)
+from .spectral import shell_energies
 
 
 @dataclass(frozen=True)
@@ -54,30 +44,28 @@ def integrals(psi: RealField, zeta: RealField, beta: float,
     )
 
 
-def energy_spectrum(psi: RealField) -> SpectrumResult:
-    """Shell-average 1/2 k^2 |psi_hat|^2 into integer bins [m-1/2, m+1/2).
+def energy_spectrum(psi: RealField) -> np.ndarray:
+    """Shell energies E(m) of 1/2 k^2 |psi_hat|^2 in integer bins
+    [m-1/2, m+1/2) for m >= 1, with E(m) at index m - 1.
 
     Normalized so that sum_m E(m) equals the domain-average kinetic
     energy; the zero mode carries no energy and is excluded.
     """
     grid = psi.grid
-    # mode energies, normalized to average energy (Parseval for the
-    # unscaled-forward convention needs 1/(nx*ny)^2)
-    mode_e = 0.5 * grid.k2 * np.abs(np.fft.rfft2(psi.values)) ** 2
-    mode_e /= (grid.nx * grid.ny) ** 2
     # max(nx, ny)//2 shells, so that no mode of either axis is dropped;
     # bins past it fold into the last one, which only matters in the
     # far corner. Shell 0 (the mean mode) is dropped.
-    shells = shell_sums(grid, mode_e, max(grid.nx, grid.ny) // 2)
-    return SpectrumResult(shells=shells[1:])
+    return shell_energies(grid, np.fft.rfft2(psi.values),
+                          max(grid.nx, grid.ny) // 2)[1:]
 
 
-def fit_slope(spec: SpectrumResult, m_lo: int, m_hi: int) -> float:
-    """Least-squares slope of log E vs log m over shells [m_lo, m_hi]."""
-    if not 1 <= m_lo < m_hi <= len(spec.shells):
+def fit_slope(shells: np.ndarray, m_lo: int, m_hi: int) -> float:
+    """Least-squares slope of log E vs log m over shells [m_lo, m_hi] of
+    an energy_spectrum array."""
+    if not 1 <= m_lo < m_hi <= len(shells):
         raise SlopeFitError(f"shell range [{m_lo}, {m_hi}] out of bounds")
     m = np.arange(m_lo, m_hi + 1)
-    e = spec.shells[m_lo - 1 : m_hi]
+    e = shells[m_lo - 1 : m_hi]
     if np.any(e <= 0):
         raise SlopeFitError("non-positive shell energy in fit range")
     slope, _ = np.polyfit(np.log(m), np.log(e), 1)

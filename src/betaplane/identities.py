@@ -48,7 +48,7 @@ InvariantExpression = Callable[["Neighbourhood", Point], float]
 # contribution (machine epsilon over h^2) remains negligible.
 FD_H_SCALE = 5.0e-4
 
-_DIRECTIONS = {"t": 0, "x": 1, "y": 2}
+_DIRECTIONS = ("t", "x", "y")
 _BRANCH_SENSITIVE = frozenset(
     {"syzygy_1", "syzygy_2", "syzygy_3", "syzygy_5", "syzygy_6"}
 )
@@ -127,6 +127,9 @@ def central_difference(fn: Callable[[Point], float], point: Point,
 def _operator_coefficients(jet: Jet, direction: str):
     """Coefficients a_j with D^i = sum_j a_j D_j, and their exact total
     derivatives da[i][j] = D_i a_j at the jet's point."""
+    if direction not in _DIRECTIONS:
+        raise ValueError(
+            f"direction must be one of t, x, y, got {direction!r}")
     psi_x = jet[0, 1, 0]
     if psi_x == 0.0:
         raise StencilCrossingError(f"psi_x vanishes at {jet.point}")
@@ -255,10 +258,6 @@ class Neighbourhood:
 
     def derivative(self, expr: InvariantExpression, direction: str) -> float:
         """D^i_direction of an invariant expression."""
-        if direction not in _DIRECTIONS:
-            raise ValueError(
-                f"direction must be one of t, x, y, got {direction!r}"
-            )
         a, _ = self.coefficients(direction)
         total = 0.0
         for j, aj in enumerate(a):

@@ -59,17 +59,16 @@ def _fmt(x: float) -> str:
 class RunResult:
     status: int
     steps_completed: int
-    out_dir: Path
     dt: float
 
 
 def _write_spectrum_csv(path, psi: RealField) -> None:
-    spec = energy_spectrum(psi)
+    shells = energy_spectrum(psi)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "E"])
-        for m, e in zip(spec.shell_range(), spec.shells):
-            writer.writerow([int(m), _fmt(e)])
+        for m, e in enumerate(shells, start=1):
+            writer.writerow([m, _fmt(e)])
 
 
 def resolve_start(cfg: RunConfig) -> tuple[RealField, float]:
@@ -144,8 +143,7 @@ def run_experiment(cfg: RunConfig, out_dir=None) -> RunResult:
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    return RunResult(status=status, steps_completed=steps_done, out_dir=out,
-                     dt=dt)
+    return RunResult(status=status, steps_completed=steps_done, dt=dt)
 
 
 def sample_admissible_point(field: AnalyticField,

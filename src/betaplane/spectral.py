@@ -1,4 +1,4 @@
-"""Spectral derivatives, the inverse-Laplacian factor, shell sums and shifts.
+"""Spectral derivatives, inverse-Laplacian factor, shell energies and shifts.
 
 Convention: forward transform is unscaled, the inverse carries
 1/(nx*ny), so Parseval reads sum |f|^2 = sum |fhat|^2 / (nx*ny) over the
@@ -11,7 +11,9 @@ Every real field goes to its derivatives through
 along y. The wavenumber factors and the shell table of the energy
 spectra are the read-only tables of the grid, built once per grid
 object and freed with it. Only ``spectral_shift`` keeps the full
-complex spectrum.
+complex spectrum. ``shell_energies`` is the one place that forms the
+shell energies of a half spectrum, for the initial condition and for
+``diagnostics.energy_spectrum`` alike.
 """
 
 from __future__ import annotations
@@ -21,15 +23,18 @@ import numpy as np
 from .grid import Grid, RealField
 
 
-def shell_sums(grid: Grid, mode_values: np.ndarray, n_shells: int) -> np.ndarray:
-    """Sum half-spectrum mode values over shells 0..n_shells.
+def shell_energies(grid: Grid, psi_hat: np.ndarray, n_shells: int) -> np.ndarray:
+    """Mode energies 1/2 k^2 |psi_hat|^2 of a half spectrum, summed over
+    shells 0..n_shells.
 
-    Each mode is counted with its column weight, so the result equals
-    the sum over the full spectrum; shells past n_shells fold into the
-    last one.
+    Normalized so that the shells sum to the domain-average energy (the
+    unscaled forward transform needs 1/(nx*ny)^2). Each mode is counted
+    with its column weight, so the result equals the sum over the full
+    spectrum; shells past n_shells fold into the last one.
     """
+    mode_e = 0.5 * grid.k2 * np.abs(psi_hat) ** 2 / (grid.nx * grid.ny) ** 2
     return np.bincount(np.minimum(grid.shell, n_shells).ravel(),
-                       weights=(mode_values * grid.column_weight).ravel(),
+                       weights=(mode_e * grid.column_weight).ravel(),
                        minlength=n_shells + 1)
 
 

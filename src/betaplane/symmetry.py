@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 import math
+from pathlib import Path
 
 from .config import RunConfig
 from .diagnostics import energy_spectrum
@@ -49,7 +50,6 @@ class ExperimentInstabilityError(RuntimeError):
 class EquivarianceReport:
     field_rel_err: float
     spectrum_rms_log_err: float
-    dt_reference: float
     steps: int
 
 
@@ -124,7 +124,7 @@ def _comparison_shells(psi: RealField) -> np.ndarray:
     """Shell energies 1..max(2, nx//4), the range the spectra are
     compared over; an overflow or underflow shows as inf, nan or 0."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        return energy_spectrum(psi).shells[: max(2, psi.grid.nx // 4)]
+        return energy_spectrum(psi)[: max(2, psi.grid.nx // 4)]
 
 
 def _normalized_log_spectrum(psi: RealField) -> np.ndarray:
@@ -171,15 +171,16 @@ def equivariance_experiment(cfg: RunConfig,
     return EquivarianceReport(
         field_rel_err=field_rel_err,
         spectrum_rms_log_err=spectrum_rms,
-        dt_reference=dt,
         steps=cfg.steps,
     )
 
 
 def equivariance_report(cfg: RunConfig, gel: GroupElement,
                         path) -> EquivarianceReport:
-    """Run the paired-experiment comparison and write it to path."""
+    """Run the paired-experiment comparison and write it to path; the
+    directory is made only after both runs return."""
     report = equivariance_experiment(cfg, gel)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["eps1", "eps2", "eps3", "boost_velocity",

@@ -331,6 +331,8 @@ EQUIVARIANCE = ["equivariance", "--eps1", "0.5"]
     pytest.param(["run"], TINY_RUN + b"[dissipation]\nkind = classical\nn = 0\n",
                  id="classical-n-0"),
     pytest.param(["run"], TINY_RUN + b"[ic]\nq = 1e6\n", id="no-ic-energy"),
+    pytest.param(EQUIVARIANCE, TINY_RUN + b"[ic]\nq = 1e6\n",
+                 id="no-ic-energy-equivariance"),
 ])
 def test_config_error_exit_code(tmp_path, capsys, command, text):
     path = tmp_path / "bad.ini"
@@ -447,7 +449,7 @@ def test_equivariance_instability_exit(tmp_path, capsys):
         assert rc == EXIT_INSTABILITY
         assert (f"reference run unstable at step {step}"
                 in capsys.readouterr().err)
-        assert not (out / "equivariance.csv").exists()
+        assert not out.exists()
 
 
 def _exit_code(argv) -> int:
@@ -483,7 +485,7 @@ def test_equivariance_bad_group_parameter_exit(config_file, tmp_path, capsys,
     assert "Traceback" not in err
     (line,) = [line for line in err.splitlines() if "error:" in line]
     assert name in line
-    assert not (out / "equivariance.csv").exists()
+    assert not out.exists()
 
 
 def test_equivariance_spec_override(config_file, tmp_path):

@@ -246,7 +246,7 @@ def test_ic_different_seeds_differ(cfg64):
 def test_ic_spectrum_shape(cfg64):
     """Shell energies follow m^p/(1+m/k0)^q exactly where occupied."""
     psi = generate_initial_condition(cfg64)
-    shells = energy_spectrum(psi).shells
+    shells = energy_spectrum(psi)
     ic = cfg64.ic
     m = np.arange(1.0, len(shells) + 1)
     target = m**ic.p / (1.0 + m / ic.k0) ** ic.q
@@ -262,8 +262,8 @@ def test_ic_amplitude_sets_energy(cfg64):
     psi2 = generate_initial_condition(
         replace(cfg64, ic=replace(cfg64.ic, amplitude=2.0))
     )
-    e1 = float(np.sum(energy_spectrum(psi1).shells))
-    e2 = float(np.sum(energy_spectrum(psi2).shells))
+    e1 = float(np.sum(energy_spectrum(psi1)))
+    e2 = float(np.sum(energy_spectrum(psi2)))
     assert e2 == pytest.approx(2.0 * e1, rel=1e-12)
     assert e1 == pytest.approx(1.0, rel=1e-12)
 

@@ -41,7 +41,7 @@ ODD_GRID = Grid(12, 8, 2.0, 3.5)
 def test_spectrum_matches_full_fft_oracle_on_non_square_grid():
     rng = np.random.default_rng(4)
     psi = RealField(ODD_GRID, rng.standard_normal(ODD_GRID.shape))
-    shells = energy_spectrum(psi).shells
+    shells = energy_spectrum(psi)
     assert len(shells) == max(ODD_GRID.nx, ODD_GRID.ny) // 2
     ref = full_fft_spectrum_oracle(psi, len(shells))
     assert np.abs(shells - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -103,35 +103,31 @@ def test_spectrum_sums_to_average_energy(grid):
     zeta = laplacian(psi)
     spec = energy_spectrum(psi)
     avg_e = -0.5 * float(np.sum(psi.values * zeta.values)) / psi.values.size
-    assert float(np.sum(spec.shells)) == pytest.approx(avg_e, rel=1e-10)
+    assert float(np.sum(spec)) == pytest.approx(avg_e, rel=1e-10)
 
 
 def test_spectrum_single_shell(grid):
     X, Y = grid.meshgrid()
     psi = RealField(grid, np.cos(3.0 * X) + np.cos(3.0 * Y))
     spec = energy_spectrum(psi)
-    assert spec.shells[2] == pytest.approx(0.5 * 9.0, rel=1e-12)  # shell m=3
-    others = np.delete(spec.shells, 2)
+    assert spec[2] == pytest.approx(0.5 * 9.0, rel=1e-12)  # shell m=3
+    others = np.delete(spec, 2)
     assert np.abs(others).max() < 1e-12
 
 
 def test_fit_slope_recovers_power_law(grid):
     m = np.arange(1.0, 33.0)
     spec_values = 2.7 * m**-3.0
-    from betaplane.diagnostics import SpectrumResult
-
-    slope = fit_slope(SpectrumResult(shells=spec_values), 4, 16)
+    slope = fit_slope(spec_values, 4, 16)
     assert slope == pytest.approx(-3.0, abs=1e-12)
 
 
 def test_fit_slope_range_validation():
-    from betaplane.diagnostics import SpectrumResult
-
-    spec = SpectrumResult(shells=np.ones(16))
+    spec = np.ones(16)
     with pytest.raises(SlopeFitError):
         fit_slope(spec, 8, 40)
     with pytest.raises(SlopeFitError):
         fit_slope(spec, 8, 8)
-    spec0 = SpectrumResult(shells=np.zeros(16))
+    spec0 = np.zeros(16)
     with pytest.raises(SlopeFitError):
         fit_slope(spec0, 2, 8)

@@ -129,6 +129,12 @@ def test_integrate_observer_sees_every_step(grid):
     assert steps == [0, 1, 2, 3, 4, 5]
 
 
+def test_integrate_rejects_zero_steps(grid):
+    zeta0 = laplacian(two_mode_field(grid))
+    with pytest.raises(ValueError, match="steps"):
+        integrate(zeta0, ModelParams(beta=0.0, dt=0.01), 0)
+
+
 def test_bootstrap_preserves_zero_mean(grid):
     state0 = initial_state(laplacian(two_mode_field(grid)))
     state1 = bootstrap(state0, ModelParams(beta=1.0, dt=0.01))

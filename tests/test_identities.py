@@ -177,6 +177,13 @@ def test_repeat_certify_runs_skip_the_same_points(tmp_path, monkeypatch):
     assert skips[0] == skips[1] == Counter(dict.fromkeys(IDENTITY_IDS, 1))
 
 
+def test_sample_admissible_point_gives_up():
+    """A field with psi_x = 0 everywhere has no admissible point."""
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="2000 draws"):
+        run.sample_admissible_point(AnalyticField(()), rng)
+
+
 def test_invariant_derivative_linearity():
     rng = np.random.default_rng(4)
     field = AnalyticField.random(rng)
@@ -202,6 +209,25 @@ def test_commutator_antisymmetry():
     ab = nb.commutator("x", "y", i020)
     ba = nb.commutator("y", "x", i020)
     assert ab == pytest.approx(-ba, rel=1e-10, abs=1e-12)
+
+
+def test_unknown_direction_rejected():
+    """Every invariant derivative rejects a direction other than t, x
+    or y, in either slot."""
+    rng = np.random.default_rng(5)
+    field = AnalyticField.random(rng)
+    nb = Neighbourhood(field, sample_point(field, rng))
+    i020 = invariant_function((0, 2, 0))
+    calls = [
+        lambda: nb.derivative(i020, "z"),
+        lambda: nb.second_derivative(i020, "z", "x"),
+        lambda: nb.second_derivative(i020, "x", "z"),
+        lambda: nb.commutator("z", "x", i020),
+        lambda: nb.commutator("x", "z", i020),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="direction"):
+            call()
 
 
 def test_second_derivative_symmetric_part_consistency():

@@ -271,6 +271,9 @@ def test_shortest_wavelength(field):
     assert field.shortest_wavelength() == pytest.approx(2.0 * np.pi / fmax)
     # computed once per field and kept on it
     assert field.shortest_wavelength() is field.shortest_wavelength()
+    # a field with no non-zero frequency falls back to unit length
+    constant = AnalyticField.from_terms([(1.0, 0.0, 0.0, 0.0, 0.3)])
+    assert constant.shortest_wavelength() == 1.0
 
 
 # -- TimeFunction -----------------------------------------------------------

@@ -105,6 +105,8 @@ def test_derivative_rejects_bad_axis(grid):
         spectral_derivative(f, "z")
     with pytest.raises(ValueError):
         spectral_derivative(f, "x", 0)
+    with pytest.raises(ValueError):
+        laplacian(f, 0)
 
 
 # Non-square grid with lx != ly; a random field has energy in the

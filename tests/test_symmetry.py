@@ -15,6 +15,7 @@ from betaplane.jets import TimeFunction
 from betaplane.symmetry import (
     EquivarianceReport,
     HarnessDomainError,
+    _normalized_log_spectrum,
     equivariance_experiment,
     pullback_field,
     transform_setup,
@@ -60,6 +61,11 @@ def test_harness_rejects_time_dependent_gauge(grid):
     cfg = base_config(grid)
     with pytest.raises(HarnessDomainError):
         transform_setup(gel(g=(0.0, 1.0)), cfg, trig_field(grid))
+
+
+def test_empty_spectrum_is_a_domain_error(grid):
+    with pytest.raises(HarnessDomainError, match="empty or non-finite"):
+        _normalized_log_spectrum(RealField(grid, np.zeros(grid.shape)))
 
 
 def test_transform_setup_scaling_properties(grid):
