@@ -82,10 +82,10 @@ class RunConfig:
     grid: Grid = Grid(DEFAULT_NX, DEFAULT_NX, DEFAULT_L, DEFAULT_L)
     beta: float = DEFAULT_BETA
     dt: float | None = None  # None means the auto CFL rule
-    dissipation: DissipationSpec = DissipationSpec("none")
-    raw_gamma: float = 0.1
-    raw_alpha: float = 0.53
-    mean_velocity: float = 0.0
+    dissipation: DissipationSpec = ModelParams.dissipation
+    raw_gamma: float = ModelParams.raw_gamma
+    raw_alpha: float = ModelParams.raw_alpha
+    mean_velocity: float = ModelParams.mean_velocity
     ic: IcSpec = IcSpec()
     output: OutputSpec = OutputSpec()
 

@@ -67,10 +67,8 @@ def _build_polys() -> dict[str, JetPoly]:
     )
     zeta7 = jp_pow(zeta, 7)
     return {
-        "zeta": zeta,
         "zeta_x": zeta_x,
         "zeta_y": zeta_y,
-        "zeta_t": zeta_t,
         "q": q,
         "q_x": jp_total_derivative(q, 1),
         "q_y": jp_total_derivative(q, 2),

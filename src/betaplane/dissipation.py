@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import RealField
 from .kernels import arakawa
-from .spectral import derive, laplacian, spectral_derivative
+from .spectral import derive, laplacian
 
 VARIANTS = (
     "none",
@@ -73,7 +73,7 @@ def _finite(spec: "DissipationSpec", values: np.ndarray) -> np.ndarray:
 def dissipation(spec: DissipationSpec, psi: RealField, zeta: RealField,
                 beta: float = 0.0) -> RealField:
     """Evaluate the closure D on the grid, checked finite."""
-    psi_x = spectral_derivative(psi, "x").values if spec.kind in _NEEDS_PSI_X else None
+    psi_x = derive(psi, psi.grid.ikx)[0] if spec.kind in _NEEDS_PSI_X else None
     return RealField(psi.grid, closure(spec, psi, psi_x, zeta, beta))
 
 
@@ -105,7 +105,7 @@ def closure(spec: DissipationSpec, psi: RealField, psi_x: np.ndarray | None,
         # J(psi_y, eta) = J(psi_y, zeta) + beta*psi_xy, eta_yy = zeta_yy.
         psi_y, psi_xy = derive(psi, grid.iky, grid.iky * grid.ikx)
         bracket = arakawa(psi_y, zeta.values, grid.dx, grid.dy) + beta * psi_xy
-        zeta_yy = spectral_derivative(zeta, "y", 2).values
+        (zeta_yy,) = derive(zeta, -(grid.ky * grid.ky))
         d = nu * np.sqrt(np.abs(psi_x)) * (np.sign(psi_x) * bracket + psi_x * zeta_yy)
     elif spec.kind == "conservative_seventh":
         z = zeta.values

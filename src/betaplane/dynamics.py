@@ -14,7 +14,7 @@ import numpy as np
 from .dissipation import DissipationSpec, closure
 from .grid import Grid, RealField
 from .kernels import arakawa
-from .spectral import derive, spectral_derivative
+from .spectral import derive
 
 
 class InstabilityError(RuntimeError):
@@ -104,9 +104,8 @@ def tendency(state: SimState, params: ModelParams) -> np.ndarray:
     )
     rhs = -adv - params.beta * state.psi_x.values
     if params.mean_velocity:
-        rhs = rhs - params.mean_velocity * spectral_derivative(
-            state.zeta_curr, "x"
-        ).values
+        (zeta_x,) = derive(state.zeta_curr, grid.ikx)
+        rhs = rhs - params.mean_velocity * zeta_x
     if params.dissipation.kind != "none":
         rhs = rhs + closure(
             params.dissipation, state.psi_curr, state.psi_x.values,

@@ -1,4 +1,8 @@
-"""Spectral derivatives, inverse-Laplacian factor, shell energies and shifts.
+"""Spectral derivatives, shell energies and shifts.
+
+A derivative is ``derive(f, *factors)`` with the grid's factor tables
+(``grid.ikx`` for d/dx, ``-(grid.ky * grid.ky)`` for d2/dy2, products
+of them for mixed ones), or ``laplacian(f, n)`` for Delta^n.
 
 Convention: forward transform is unscaled, the inverse carries
 1/(nx*ny), so Parseval reads sum |f|^2 = sum |fhat|^2 / (nx*ny) over the
@@ -42,29 +46,6 @@ def derive(f: RealField, *factors: np.ndarray) -> list[np.ndarray]:
     """irfft2(rfft2(f) * factor) for each factor, from one rfft2 of f."""
     fhat = np.fft.rfft2(f.values)
     return [np.fft.irfft2(fhat * factor, s=f.grid.shape) for factor in factors]
-
-
-def _derivative_factor(grid: Grid, axis: str, order: int) -> np.ndarray:
-    """(i k)^order along axis, Nyquist zeroed for odd orders."""
-    if axis == "x":
-        k, ik = grid.kx, grid.ikx
-    elif axis == "y":
-        k, ik = grid.ky, grid.iky
-    else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    if order == 1:
-        return ik
-    if order % 2:
-        return ik**order
-    return (-(k * k)) ** (order // 2)
-
-
-def spectral_derivative(f: RealField, axis: str, order: int = 1) -> RealField:
-    """d^order f / d axis^order by multiplication with (i k)^order."""
-    if order < 1:
-        raise ValueError("derivative order must be >= 1")
-    (values,) = derive(f, _derivative_factor(f.grid, axis, order))
-    return RealField(f.grid, values)
 
 
 def laplacian(f: RealField, power: int = 1) -> RealField:

@@ -50,7 +50,6 @@ class ExperimentInstabilityError(RuntimeError):
 class EquivarianceReport:
     field_rel_err: float
     spectrum_rms_log_err: float
-    steps: int
 
 
 def _check_harness(gel: GroupElement) -> tuple[float, float]:
@@ -171,7 +170,6 @@ def equivariance_experiment(cfg: RunConfig,
     return EquivarianceReport(
         field_rel_err=field_rel_err,
         spectrum_rms_log_err=spectrum_rms,
-        steps=cfg.steps,
     )
 
 

@@ -22,7 +22,7 @@ from betaplane.conservation import (
     conservation_budget,
     divergence_identity_residual,
 )
-from betaplane.diagnostics import energy_spectrum, fit_slope
+from betaplane.diagnostics import energy_spectrum, fit_slope, integrals
 from betaplane.dissipation import DissipationSpec, dissipation
 from betaplane.dynamics import (
     ModelParams,
@@ -265,9 +265,7 @@ def _decay_run(seed):
     )
 
     def energy(s):
-        return -0.5 * float(
-            np.sum(s.psi_curr.values * s.zeta_curr.values)
-        ) * grid.dx * grid.dy
+        return integrals(s.psi_curr, s.zeta_curr, params.beta).energy
 
     state = initial_state(laplacian(psi0))
     e0 = energy(state)

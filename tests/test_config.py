@@ -40,6 +40,9 @@ def test_minimal_config_defaults():
     assert cfg.dt is None  # auto
     assert cfg.dissipation.kind == "none"
     assert cfg.ic.k0 == 32.0 and cfg.ic.p == 6.0 and cfg.ic.q == 18.0
+    # the [model] defaults are ModelParams' own
+    assert RunConfig(steps=1).model_params(1.0) == \
+        ModelParams(beta=DEFAULT_BETA, dt=1.0)
 
 
 def test_full_config_roundtrip():

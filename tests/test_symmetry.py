@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from betaplane import symmetry
 from betaplane.config import IcSpec, RunConfig
 from betaplane.dissipation import DissipationSpec
+from betaplane.dynamics import integrate
 from betaplane.grid import Grid, RealField
 from betaplane.invariants import GroupElement
 from betaplane.jets import TimeFunction
@@ -141,7 +143,6 @@ def test_identity_experiment_is_exact(grid):
     assert isinstance(rep, EquivarianceReport)
     assert rep.field_rel_err == 0.0
     assert rep.spectrum_rms_log_err == 0.0
-    assert rep.steps == cfg.steps
 
 
 def test_scaling_equivariance_inviscid(grid):
@@ -196,8 +197,17 @@ def test_classical_closure_breaks_equivariance(grid):
     assert rep.field_rel_err > 1e-3
 
 
-def test_experiment_steps_override(grid):
+def test_experiment_steps_override(grid, monkeypatch):
+    """Both paired runs take the configured number of steps."""
+    steps_run = []
+
+    def recording_integrate(*args, **kwargs):
+        state = integrate(*args, **kwargs)
+        steps_run.append(state.step)
+        return state
+
+    monkeypatch.setattr(symmetry, "integrate", recording_integrate)
     cfg = base_config(grid, steps=7)
     rep = equivariance_experiment(cfg, gel(eps1=0.5))
-    assert rep.steps == 7
+    assert steps_run == [7, 7]
     assert rep.field_rel_err < 1e-10
