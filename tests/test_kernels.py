@@ -3,6 +3,8 @@ with an np.roll form and a plain-Python loop form of its formula."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,16 +153,41 @@ def test_loop_formula_bit_identical_to_numpy(nx, ny):
     assert np.array_equal(j, arakawa(a, b, grid.dx, grid.dy))
 
 
-@pytest.mark.parametrize("nx,ny", [(4, 4), (6, 10), (64, 64), (256, 256)])
+@pytest.mark.parametrize(
+    "nx,ny",
+    [(4, 4), (6, 10), (64, 64), (256, 256), (300, 64), (6, 20000), (512, 512)],
+)
 def test_numpy_bracket_bit_identical_to_roll_form(nx, ny):
     """N = 4 is the smallest legal grid, where the +1 and -1 neighbours
-    wrap onto each other; 6x10 checks the axes are not swapped."""
+    wrap onto each other; 6x10 checks the axes are not swapped. The
+    bracket works in blocks of 2**14 // ny rows: 300x64 ends on a partial
+    block, 6x20000 takes one row per block, and 512x512 many blocks."""
     grid = Grid(nx, ny, 2.0 * np.pi, 3.0)
     rng = np.random.default_rng(nx * 1000 + ny)
     a = rng.standard_normal(grid.shape)
     b = rng.standard_normal(grid.shape)
     j = arakawa(a, b, grid.dx, grid.dy)
     assert np.array_equal(j, arakawa_roll_oracle(a, b, grid.dx, grid.dy))
+
+
+@pytest.mark.parametrize("n,fields", [(256, 6), (512, 4)])
+def test_bracket_scratch_is_a_few_fields(n, fields):
+    """The traced peak of one call, after a warm-up call, stays below a
+    few N x N fields: the padded copies, the result and the block-sized
+    scratch, where a bracket of full-size temporaries takes over six."""
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, n))
+    arakawa(a, b, 0.1, 0.1)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        arakawa(a, b, 0.1, 0.1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < fields * a.nbytes
 
 
 @settings(max_examples=25, deadline=None)

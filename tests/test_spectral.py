@@ -98,7 +98,7 @@ def test_shift_by_grid_cell_is_roll(grid):
     assert np.allclose(shifted.values, np.roll(f.values, 1, axis=0), atol=1e-11)
 
 
-def test_derivative_rejects_bad_axis(grid):
+def test_laplacian_rejects_power_below_one(grid):
     """A Laplacian power below 1 is refused."""
     f = trig_field(grid, 1, 1)
     with pytest.raises(ValueError):
